@@ -1,7 +1,8 @@
 """zgff command line: simulate | levellines | scales | fs | rw-oracle |
 tension | endtoend, each driven by a config file with optional overrides.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible/degenerate, 4 resource limit.
+Exit codes: 0 ok, 2 config error, 3 infeasible/degenerate/unordered coupling,
+4 resource limit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import (ConfigError, CoverageError, DegenerateInputError,
-                     InfeasibleError, InvalidConstraintError,
-                     ResourceLimitError, StructureError, ZgffError)
+                     InfeasibleError, InvalidConstraintError, OrderingError,
+                     ResourceLimitError, StructureError)
 
 _PIPELINE_OF = {
     "simulate": "surface",
@@ -80,7 +81,7 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (InfeasibleError, InvalidConstraintError, DegenerateInputError,
-            CoverageError) as e:
+            CoverageError, OrderingError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
     except ResourceLimitError as e:

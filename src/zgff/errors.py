@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, InfeasibleError and
-DegenerateInputError -> 3, ResourceLimitError -> 4.
+The CLI maps these onto exit codes: ConfigError and StructureError -> 2;
+InfeasibleError, InvalidConstraintError, DegenerateInputError, CoverageError
+and OrderingError -> 3; ResourceLimitError -> 4.
 """
 
 

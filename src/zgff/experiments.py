@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, RunManifest, model_params_from
-from .errors import CoverageError, InfeasibleError
+from .errors import CoverageError, DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
-from .levellines import extract_level_lines, loops_to_records, profile, rescale
+from .levellines import (extract_level_lines, loops_to_records, profile,
+                         rescale, top_level_loop)
 from .mcmc import sample_equilibrium
 from .rw import (TiltedBridgeSpec, basic_increment_law, enumerated_increment_law,
                  fs_comparison, sample_tilted_bridge, transfer_matrix_exact)
@@ -101,7 +102,10 @@ def run_scales(cfg, out_dir):
               "L_in_bad_set": table.L_in_bad_set,
               "threshold": table.threshold,
               "ld_diagnostics": _jsonable(ld_diagnostics(hist)),
-              "warnings": hist.warnings, "seed": seed}
+              "warnings": hist.warnings, "seed": seed,
+              "box_size": hist.box_size, "bulk_margin": hist.margin,
+              "n_samples": hist.n_samples,
+              "hits": {str(h): n for h, n in sorted(hist.hits.items())}}
     _json_dump(os.path.join(out_dir, "scales.json"), record)
     summary = {"H": table.H, "L_in_bad_set": table.L_in_bad_set}
     return ["scale_table.csv", "scales.json"], summary
@@ -262,11 +266,10 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
             if h < 1:
                 missing[n].append(idx)
                 continue
-            loops = [lp for lp in extract_level_lines(snap, h) if lp.macroscopic]
-            if not loops:
+            top = top_level_loop(snap, h)
+            if top is None:
                 missing[n].append(idx)
                 continue
-            top = max(loops, key=lambda lp: lp.interior_area)
             N_n = scale_table.N[n]
             K = min(1.0, (L / 2 - 1) / N_n ** (2.0 / 3.0))
             try:
@@ -310,7 +313,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
         if k >= 10:
             try:
                 cross = float(correlation(a[:k], b[:k]))
-            except Exception:
+            except DegenerateInputError:
                 cross = None
     record = {
         "config_hash": cfg.hash(), "seed": seed, "L": L, "H": H,

@@ -102,13 +102,69 @@ def disagreement_bond_set(config: SurfaceConfig, h):
     return bonds
 
 
-# Bond slots around corner (a, b): W/E horizontal, S/N vertical.
-def _incident(a, b):
-    return {"W": (a - 1, b, "h"), "E": (a, b, "h"),
-            "S": (a, b - 1, "v"), "N": (a, b, "v")}
-
-
+# Bond slots around a corner: W/E horizontal, S/N vertical, as bits 0-3 of
+# the corner's slot mask. Leaving corner (a, b) by a slot walks bond
+# (a + da, b + db, d) to corner (a + na, b + nb), which the line enters by
+# the opposite slot.
+_SLOTS = ("W", "E", "S", "N")
+_MOVES = {"W": (-1, 0, "h", -1, 0, "E"), "E": (0, 0, "h", 1, 0, "W"),
+          "S": (0, -1, "v", 0, -1, "N"), "N": (0, 0, "v", 0, 1, "S")}
 _NE_PAIR = {"W": "N", "N": "W", "E": "S", "S": "E"}
+
+
+def _corner_slots(config: SurfaceConfig, h):
+    """(L+1, L+1) array of slot masks: bit i of [a, b] is set when the level-h
+    bond in slot _SLOTS[i] of corner (a, b) is in the disagreement set."""
+    L = config.L
+    hi = config.padded() >= h
+    horiz = np.zeros((L + 2, L + 1), dtype=np.uint8)   # [a + 1, b]: (a, b, 'h')
+    horiz[1:L + 1] = hi[1:L + 1, :-1] != hi[1:L + 1, 1:]
+    vert = np.zeros((L + 1, L + 2), dtype=np.uint8)    # [a, b + 1]: (a, b, 'v')
+    vert[:, 1:L + 1] = hi[:-1, 1:L + 1] != hi[1:, 1:L + 1]
+    return horiz[:-1] | horiz[1:] << 1 | vert[:, :-1] << 2 | vert[:, 1:] << 3
+
+
+def _exit_table():
+    """Per slot mask, entry slot -> exit slot: the other bond at a degree-2
+    corner, the northeast pairing at a degree-4 one."""
+    table = []
+    for mask in range(16):
+        live = [s for i, s in enumerate(_SLOTS) if mask >> i & 1]
+        if len(live) == 4:
+            table.append(dict(_NE_PAIR))
+        else:
+            table.append({s: t for s in live for t in live if t != s})
+    return table
+
+
+_EXIT = _exit_table()
+_ODD_MASKS = [m for m in range(16) if bin(m).count("1") % 2]
+
+
+def _trace(slots, start):
+    """Bonds of the level line through bond `start`, walked from its
+    lower-left endpoint; slots[a][b] is the slot mask of corner (a, b)."""
+    a, b, d = start
+    if d == "h":
+        a, entry = a + 1, "W"
+    else:
+        b, entry = b + 1, "S"
+    bonds = [start]
+    while True:
+        da, db, d, na, nb, nxt_entry = _MOVES[_EXIT[slots[a][b]][entry]]
+        bond = (a + da, b + db, d)
+        if bond == start:
+            return bonds
+        bonds.append(bond)
+        a, b, entry = a + na, b + nb, nxt_entry
+
+
+def _make_loop(h, bonds, thresh):
+    loop = LevelLoop(level=h, bonds=bonds, length=len(bonds),
+                     interior_area=0, macroscopic=len(bonds) >= thresh)
+    loop.interior_area = sum(a1 - a0 for iv in loop.row_intervals().values()
+                             for a0, a1 in iv)
+    return loop
 
 
 def extract_level_lines(config: SurfaceConfig, h):
@@ -120,18 +176,13 @@ def extract_level_lines(config: SurfaceConfig, h):
     bonds = disagreement_bond_set(config, h)
     if not bonds:
         return []
-    incident = {}
-    for (a, b, d) in bonds:
-        if d == "h":
-            ends = ((a, b), (a + 1, b))
-        else:
-            ends = ((a, b), (a, b + 1))
-        for c in ends:
-            incident.setdefault(c, []).append((a, b, d))
-    for c, blist in incident.items():
-        if len(blist) not in (2, 4):
-            raise StructureError(f"corner {c} has degree {len(blist)}")
-
+    slots = _corner_slots(config, h)
+    odd = np.argwhere(np.isin(slots, _ODD_MASKS))
+    if len(odd):
+        a, b = (int(v) for v in odd[0])
+        raise StructureError(f"corner {(a, b)} has degree "
+                             f"{bin(int(slots[a, b])).count('1')}")
+    slots = slots.tolist()
     thresh = macroscopic_threshold(config.L)
     unused = set(bonds)
     ordered = sorted(bonds)  # deterministic traversal order
@@ -140,33 +191,32 @@ def extract_level_lines(config: SurfaceConfig, h):
     while unused:
         while ordered[cursor] not in unused:
             cursor += 1
-        start = ordered[cursor]
-        loop_bonds = []
-        bond = start
-        corner = (bond[0], bond[1])  # enter at the lower-left endpoint
-        while True:
-            unused.discard(bond)
-            loop_bonds.append(bond)
-            a, b, d = bond
-            nxt_corner = (a + 1, b) if d == "h" else (a, b + 1)
-            if nxt_corner == corner:
-                nxt_corner = (a, b)
-            here = incident[nxt_corner]
-            if len(here) == 2:
-                nxt = here[0] if here[1] == bond else here[1]
-            else:
-                slots = _incident(*nxt_corner)
-                slot_of = {v: k for k, v in slots.items()}
-                nxt = slots[_NE_PAIR[slot_of[bond]]]
-            if nxt == start:
-                break
-            bond, corner = nxt, nxt_corner
-        loop = LevelLoop(level=h, bonds=loop_bonds, length=len(loop_bonds),
-                         interior_area=0, macroscopic=len(loop_bonds) >= thresh)
-        loop.interior_area = sum(a1 - a0 for iv in loop.row_intervals().values()
-                                 for a0, a1 in iv)
-        loops.append(loop)
+        loop_bonds = _trace(slots, ordered[cursor])
+        unused.difference_update(loop_bonds)
+        loops.append(_make_loop(h, loop_bonds, thresh))
     return loops
+
+
+def top_level_loop(config: SurfaceConfig, h):
+    """The macroscopic level-h loop of largest interior area, or None.
+
+    When the whole ring is below h, only the loop through the lowest level-h
+    crossing of the centre column is traced. Every cell below that crossing
+    is below h, so no loop encloses this one and every other loop lies
+    inside it or outside it; an interior of more than L^2 / 2 cells
+    therefore makes it the unique largest loop. Otherwise all loops are
+    extracted.
+    """
+    L = config.L
+    column = config.heights[L // 2] >= h
+    if max(config.boundary.values()) < h and column.any():
+        start = (L // 2, int(np.argmax(column)), "h")
+        loop = _make_loop(h, _trace(_corner_slots(config, h), start),
+                          macroscopic_threshold(L))
+        if loop.macroscopic and 2 * loop.interior_area > L * L:
+            return loop
+    macro = [lp for lp in extract_level_lines(config, h) if lp.macroscopic]
+    return max(macro, key=lambda lp: lp.interior_area) if macro else None
 
 
 def enclosed_region(config: SurfaceConfig, h):

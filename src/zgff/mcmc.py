@@ -129,17 +129,22 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """
     cfg = state.config
     L = cfg.L
-    if state.scan_order == "checkerboard":
-        for _ in range(n_sweeps):
-            _checkerboard_sweep(cfg, params, state.seed, state.sweep_count,
-                                state.chain_id)
-            state.sweep_count += 1
-            if on_sweep is not None:
-                on_sweep(state.sweep_count, cfg, None)
-        return state
-    grid = _flat_index_grid(cfg)
     us = UniformStream(state.seed, L * L, chain=state.chain_id)
     W = L + 2
+    if state.scan_order == "checkerboard":
+        kernel = _Kernel(params)
+        flat = cfg.padded().reshape(-1)
+        interior = flat.reshape(W, W)[1:L + 1, 1:L + 1]
+        phases = _checkerboard_phases(cfg)
+        for _ in range(n_sweeps):
+            _sweep_phases(kernel, flat, phases, us.sweep(state.sweep_count))
+            state.sweep_count += 1
+            if on_sweep is not None:
+                cfg.heights[:, :] = interior
+                on_sweep(state.sweep_count, cfg, None)
+        cfg.heights[:, :] = interior
+        return state
+    grid = _flat_index_grid(cfg)
     interior = [(x + 1) * W + (y + 1) for y in range(L) for x in range(L)]
     raster = state.scan_order == "raster"
     order = _raster_order(L) if raster else None
@@ -166,103 +171,189 @@ def _write_back(cfg, grid):
     cfg.heights[:, :] = arr[1:L + 1, 1:L + 1].astype(np.int32)
 
 
-def _tail_extra(params):
-    """Offsets beyond the neighbor span needed before weights drop below 1e-16."""
-    need = 37.0 / (4.0 * params.beta)
-    return max(1, int(np.ceil(need ** (1.0 / params.p))) + 1)
+_FILL = 2.0  # pads CDF rows past their support; above every uniform
 
 
-def _batch_heat_bath_sweep(padded, params, u_flat, floors=None, ceilings=None):
-    """Raster sweep vectorized across a batch of replicas.
+class _Kernel:
+    """Table-lookup heat bath for one (p, beta).
 
-    padded: (B, L+2, L+2) int64, ring values already in the border.
-    u_flat: (B, L*L) uniforms, indexed by y*L + x.
-    floors/ceilings: None or (B, L, L) arrays (use big sentinels for 'none').
-    Updates padded in place. Semantics match the scalar raster sweep up to
-    the shared support-truncation tolerance.
+    Every site's conditional law is a CDF row of conditional_tables, found by
+    a small integer key and built the first time the key occurs. A site with
+    row base + row draws base + start + #{i : cdf[i] <= u}, the first support
+    point whose CDF entry exceeds u, as the scalar quantile does.
+
+    For p = 2, sum_i (k - n_i)^2 = 4 (k - S/4)^2 + const with S the neighbour
+    sum, so k - S//4 has the law of a site with neighbours (0, 0, 0, S % 4)
+    and bounds moved by -S//4. Bound offsets are clipped to [-R, R]: a floor
+    below -R (a ceiling above R) lies outside every row's support, and one
+    above R (below -R) pins the draw to itself, which the final clamp to
+    [floor, ceiling] restores. Other p key on the sorted neighbour gaps and
+    the bound offsets from the lowest neighbour, as conditional_tables does.
     """
-    B, W, _ = padded.shape
-    L = W - 2
-    extra = _tail_extra(params)
-    for y in range(L):
-        for x in range(L):
-            nb = np.stack([padded[:, x, y + 1], padded[:, x + 2, y + 1],
-                           padded[:, x + 1, y], padded[:, x + 1, y + 2]], axis=1)
-            ns = np.sort(nb, axis=1)
-            m = (ns[:, 1] + ns[:, 2]) // 2
-            span = int((ns[:, 3] - ns[:, 0]).max())
-            K = span + extra
-            if floors is not None:
-                m = np.maximum(m, floors[:, x, y])
-            if ceilings is not None:
-                m = np.minimum(m, ceilings[:, x, y])
-            ks = m[:, None] + np.arange(-K, K + 1)[None, :]
-            d = np.abs(ks[:, :, None] - nb[:, None, :]).astype(np.float64)
-            if params.p == 2:
-                cost = np.einsum("bki,bki->bk", d, d)
-            elif params.p == 1:
-                cost = d.sum(axis=2)
-            else:
-                cost = (d ** params.p).sum(axis=2)
-            w = np.exp(-params.beta * (cost - cost.min(axis=1, keepdims=True)))
-            if floors is not None:
-                w[ks < floors[:, x, y][:, None]] = 0.0
-            if ceilings is not None:
-                w[ks > ceilings[:, x, y][:, None]] = 0.0
-            cdf = np.cumsum(w, axis=1)
-            target = u_flat[:, y * L + x] * cdf[:, -1]
-            idx = (cdf > target[:, None]).argmax(axis=1)
-            padded[:, x + 1, y + 1] = ks[np.arange(B), idx]
 
-
-def _checkerboard_sweep(cfg, params, seed, sweep, chain):
-    """Vectorized systematic sweep in two color phases (even parity first).
-
-    Sites of one color are conditionally independent given the other, so the
-    phase update is a legitimate block of sequential heat-bath updates.
-    """
-    L = cfg.L
-    g = cfg.padded()
-    u = sweep_uniforms(seed, sweep, L * L, chain=chain).reshape(L, L).T  # [x, y]
-    xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    parity = (xs + ys) % 2
-    extra = _tail_extra(params)
-    floor, ceiling = cfg.floor, cfg.ceiling
-    fgrid = None if floor is None else (floor if isinstance(floor, np.ndarray)
-                                        else np.full((L, L), int(floor)))
-    cgrid = None if ceiling is None else (ceiling if isinstance(ceiling, np.ndarray)
-                                          else np.full((L, L), int(ceiling)))
-    for color in (0, 1):
-        sel = parity == color
-        sx, sy = xs[sel], ys[sel]
-        nb = np.stack([g[sx, sy + 1], g[sx + 2, sy + 1],
-                       g[sx + 1, sy], g[sx + 1, sy + 2]], axis=1)
-        ns = np.sort(nb, axis=1)
-        m = (ns[:, 1] + ns[:, 2]) // 2
-        span = int((ns[:, 3] - ns[:, 0]).max())
-        K = span + extra
-        if fgrid is not None:
-            m = np.maximum(m, fgrid[sx, sy])
-        if cgrid is not None:
-            m = np.minimum(m, cgrid[sx, sy])
-        ks = m[:, None] + np.arange(-K, K + 1)[None, :]
-        d = np.abs(ks[:, :, None] - nb[:, None, :]).astype(np.float64)
+    def __init__(self, params):
+        self.params = params
+        self.start = np.zeros(64, dtype=np.int64)
+        self.cdf = np.full((64, 1), _FILL)
+        self.n_rows = 0
+        self.rows = {}
         if params.p == 2:
-            cost = np.einsum("ski,ski->sk", d, d)
-        elif params.p == 1:
-            cost = d.sum(axis=2)
+            self.R = self._p2_radius()
+            w = 2 * self.R + 1
+            self.index = np.full(4 * w * w, -1, dtype=np.int64)
+
+    def _p2_radius(self):
+        """Smallest R >= 4 with every unconstrained p = 2 row inside
+        [-R + 1, R - 1] and a floor at R (ceiling at -R) pinning the draw."""
+        rows = [conditional_tables((0, 0, 0, r), None, None, self.params)[0]
+                for r in range(4)]
+        R = max(4, 1 - min(s[0] for s in rows), 1 + max(s[-1] for s in rows))
+        while not all(
+                len(conditional_tables((0, 0, 0, r), R, None, self.params)[0]) == 1
+                and len(conditional_tables((0, 0, 0, r), None, -R, self.params)[0]) == 1
+                for r in range(4)):
+            R += 1
+        return R
+
+    def _row(self, key, neighbors, lo, hi):
+        row = self.rows.get(key)
+        if row is None:
+            support0, _, cdf, shift = conditional_tables(neighbors, lo, hi,
+                                                         self.params)
+            row = self.rows[key] = self.n_rows
+            if row == len(self.start):
+                self.start = np.resize(self.start, 2 * row)
+                self.cdf = np.vstack([self.cdf, np.full_like(self.cdf, _FILL)])
+            if len(cdf) > self.cdf.shape[1]:
+                pad = np.full((len(self.cdf), len(cdf) - self.cdf.shape[1]), _FILL)
+                self.cdf = np.hstack([self.cdf, pad])
+            self.start[row] = support0[0] + shift
+            self.cdf[row, :len(cdf)] = cdf
+            self.n_rows += 1
+        return row
+
+    def _p2_rows(self, nsum, lo, hi):
+        R = self.R
+        w = 2 * R + 1
+        base = nsum >> 2
+        # key = (S % 4) w^2 + (floor offset + R) w + (ceiling offset + R);
+        # no floor is offset -R, no ceiling offset R
+        key = (nsum & 3) * (w * w) + (0 if lo is None else R * w) + (2 * R if hi is None else R)
+        if lo is not None:
+            key += np.minimum(np.maximum(lo - base, -R), R) * w
+        if hi is not None:
+            key += np.minimum(np.maximum(hi - base, -R), R)
+        rows = self.index[key]
+        if rows.min() < 0:
+            for k in np.unique(key[rows < 0]).tolist():
+                r, rest = divmod(k, w * w)
+                fo, co = divmod(rest, w)
+                self.index[k] = self._row(k, (0, 0, 0, r),
+                                          None if fo == 0 else fo - R,
+                                          None if co == 2 * R else co - R)
+            rows = self.index[key]
+        return base, rows
+
+    def _general_rows(self, nb, lo, hi):
+        nb = np.sort(nb, axis=0)
+        base = nb[0]
+        cols = [nb[1] - base, nb[2] - base, nb[3] - base]
+        cols += [np.broadcast_to(b - base, base.shape) for b in (lo, hi) if b is not None]
+        # one mixed-radix code per key, so a 1-D unique finds the distinct keys
+        radix = [(int(c.min()), int(c.max()) - int(c.min()) + 1) for c in cols]
+        if np.prod([float(span) for _, span in radix]) < 2.0 ** 62:
+            code = np.zeros_like(base)
+            for c, (mn, span) in zip(cols, radix):
+                code = code * span + (c - mn)
+            uniq, inv = np.unique(code, return_inverse=True)
+            keys = []
+            for v in uniq.tolist():
+                key = []
+                for mn, span in reversed(radix):
+                    v, digit = divmod(v, span)
+                    key.append(digit + mn)
+                keys.append(key[::-1])
         else:
-            cost = (d ** params.p).sum(axis=2)
-        w = np.exp(-params.beta * (cost - cost.min(axis=1, keepdims=True)))
-        if fgrid is not None:
-            w[ks < fgrid[sx, sy][:, None]] = 0.0
-        if cgrid is not None:
-            w[ks > cgrid[sx, sy][:, None]] = 0.0
-        cdf = np.cumsum(w, axis=1)
-        target = u[sx, sy] * cdf[:, -1]
-        idx = (cdf > target[:, None]).argmax(axis=1)
-        g[sx + 1, sy + 1] = ks[np.arange(len(sx)), idx]
-    cfg.heights[:, :] = g[1:L + 1, 1:L + 1].astype(np.int32)
+            uniq, inv = np.unique(np.stack(cols), axis=1, return_inverse=True)
+            keys = uniq.T.tolist()
+        rows = np.empty(len(keys), dtype=np.int64)
+        for j, key in enumerate(keys):
+            fo = None if lo is None else key[3]
+            co = None if hi is None else key[-1]
+            rows[j] = self._row((*key[:3], fo, co), (0, *key[:3]), fo, co)
+        return base, rows[inv.ravel()]
+
+    def update(self, flat, sites, neighbours, u, lo=None, hi=None):
+        """Resample flat[sites] in place, each site from its exact
+        conditional given flat at its four neighbour indices.
+
+        sites must be pairwise non-adjacent. u, lo (floors) and hi (ceilings)
+        are scalars or arrays aligned with sites, None meaning unbounded;
+        lo <= hi is the caller's to check (_check_bounds).
+        """
+        a, b, c, d = (flat[n] for n in neighbours)
+        if self.params.p == 2:
+            base, rows = self._p2_rows(a + b + c + d, lo, hi)
+        else:
+            base, rows = self._general_rows(np.stack([a, b, c, d]), lo, hi)
+        u = np.asarray(u)
+        new = base + self.start[rows]
+        new += (self.cdf[rows] <= (u[:, None] if u.ndim else u)).sum(axis=1)
+        if lo is not None:
+            np.maximum(new, lo, out=new)
+        if hi is not None:
+            np.minimum(new, hi, out=new)
+        flat[sites] = new
+
+
+def _block(sites, W):
+    """Sites and their four neighbour indices in padded grids of row stride W."""
+    return sites, (sites - W, sites + W, sites - 1, sites + 1)
+
+
+def _check_bounds(lo, hi):
+    if lo is not None and hi is not None and np.any(np.asarray(lo) > np.asarray(hi)):
+        raise InvalidConstraintError("floor above ceiling")
+
+
+def _checkerboard_phases(cfg):
+    """The two colour phases of a checkerboard sweep (even x + y first): site
+    and neighbour indices in the flat padded grid, uniform indices y*L + x,
+    and the sites' floors and ceilings. Sites of one colour are conditionally
+    independent given the other, so a phase is a legitimate block of
+    sequential heat-bath updates."""
+    L = cfg.L
+    W = L + 2
+    xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
+    phases = []
+    for colour in (0, 1):
+        sel = (xs + ys) % 2 == colour
+        sx, sy = xs[sel], ys[sel]
+        lo, hi = [b if b is None else (b[sx, sy] if isinstance(b, np.ndarray) else int(b))
+                  for b in (cfg.floor, cfg.ceiling)]
+        _check_bounds(lo, hi)
+        phases.append((*_block((sx + 1) * W + (sy + 1), W), sy * L + sx, lo, hi))
+    return phases
+
+
+def _batch_phases(B, L, floors, ceilings):
+    """A raster sweep across B replicas, one phase per site (x, y): its index
+    in each of B padded (L+2)^2 grids laid back to back, its uniform index
+    y*L + x, and the replicas' floors and ceilings there ((B, L, L) arrays
+    or None)."""
+    _check_bounds(floors, ceilings)
+    W = L + 2
+    offsets = np.arange(B) * (W * W)
+    return [(*_block(offsets + (x + 1) * W + (y + 1), W), y * L + x,
+             None if floors is None else floors[:, x, y],
+             None if ceilings is None else ceilings[:, x, y])
+            for y in range(L) for x in range(L)]
+
+
+def _sweep_phases(kernel, flat, phases, u):
+    """One sweep: the kernel on each phase in turn, with its uniforms."""
+    for sites, neighbours, uidx, lo, hi in phases:
+        kernel.update(flat, sites, neighbours, u[uidx], lo, hi)
 
 
 def _leq_bound(a, b):
@@ -341,14 +432,21 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     """
     B, W, _ = pad_lo.shape
     L = W - 2
+    kernel = _Kernel(params)
+    flat_lo, flat_up = pad_lo.reshape(-1), pad_up.reshape(-1)
+    phases_lo = _batch_phases(B, L, floors_lo, ceilings_lo)
+    phases_up = _batch_phases(B, L, floors_up, ceilings_up)
+    us = UniformStream(seed, L * L)
     violations = 0
     for t in range(n_sweeps):
-        u = sweep_uniforms(seed, t, L * L).reshape(1, -1)
-        u = np.broadcast_to(u, (B, L * L))
-        _batch_heat_bath_sweep(pad_lo, params, u, floors_lo, ceilings_lo)
-        _batch_heat_bath_sweep(pad_up, params, u, floors_up, ceilings_up)
-        bad = pad_lo[:, 1:L + 1, 1:L + 1] > pad_up[:, 1:L + 1, 1:L + 1]
-        violations += int(bad.sum())
+        u = us.sweep(t)
+        _sweep_phases(kernel, flat_lo, phases_lo, u)
+        _sweep_phases(kernel, flat_up, phases_up, u)
+        inner = np.s_[:, 1:L + 1, 1:L + 1]
+        violations += int((flat_lo.reshape(B, W, W)[inner]
+                           > flat_up.reshape(B, W, W)[inner]).sum())
+    pad_lo[...] = flat_lo.reshape(B, W, W)   # a no-op unless reshape copied
+    pad_up[...] = flat_up.reshape(B, W, W)
     return violations
 
 

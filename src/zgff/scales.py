@@ -30,6 +30,8 @@ class HeightHistogram:
     n_samples: int
     ci_half: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+    margin: int = 0              # bulk window is [margin, box_size-1-margin]^2
+    hits: dict = field(default_factory=dict)   # h -> window-site hit count
 
     def prob(self, h):
         return self.probs.get(int(h), 0.0)
@@ -47,8 +49,12 @@ def proxy_box_side(L):
 
 def estimate_height_prob(params: ModelParams, box_size, samples, seed,
                          thinning=2, burn_in=None) -> HeightHistogram:
-    """Histogram of the center-site height under the no-floor measure with
-    zero boundary on a box_size^2 box. CIs by batch means."""
+    """Height histogram of the no-floor measure with zero boundary on a
+    box_size^2 box, pooled over every site of the bulk window
+    [d, box_size-1-d]^2, d = max(1, box_size // 6): the proxy measure is
+    close to translation invariant away from the ring. n_samples counts the
+    sampled sweeps; CIs are batch means of the per-sweep window fractions.
+    """
     if box_size < 2 * math.log(max(box_size, 2)) ** 2:
         raise StructureError(f"box size {box_size} too small for the center "
                              "site to decorrelate from the boundary")
@@ -59,39 +65,39 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
     cfg = SurfaceConfig.flat(box_size, boundary=boundary)
     state = ChainState(config=cfg, seed=seed,
                        scan_order="checkerboard" if box_size >= 16 else "raster")
-    mid = box_size // 2
-    run_chain(state, run_params, burn_in)
-    trace = np.empty(samples, dtype=np.int64)
+    d = max(1, box_size // 6)
     W = box_size + 2
-    mid_flat = (mid + 1) * W + (mid + 1)
-    k = 0
+    run_chain(state, run_params, burn_in)
+    per_sweep = []
 
     def on_sweep(t, grid_or_cfg, interior):
-        nonlocal k
-        if (t - burn_in) % thinning != 0:
+        if (t - burn_in) % thinning != 0 or len(per_sweep) >= samples:
             return
-        if k < samples:
-            if interior is None:
-                trace[k] = grid_or_cfg.heights[mid, mid]
-            else:
-                trace[k] = grid_or_cfg[mid_flat]
-            k += 1
+        if interior is None:
+            heights = grid_or_cfg.heights
+        else:
+            heights = np.asarray(grid_or_cfg).reshape(W, W)[1:-1, 1:-1]
+        per_sweep.append(np.unique(heights[d:box_size - d, d:box_size - d],
+                                   return_counts=True))
 
     run_chain(state, run_params, samples * thinning, on_sweep=on_sweep)
-    trace = trace[:k]
-    values, counts = np.unique(trace, return_counts=True)
-    probs = {int(v): c / k for v, c in zip(values, counts)}
-    ci = {}
-    warnings = []
-    for v, c in zip(values, counts):
-        ind = (trace == v).astype(float)
-        _, half = batch_means_ci(ind)
-        ci[int(v)] = half
-        if c < 25:
-            warnings.append(f"height {int(v)}: only {int(c)} hits, CI unreliable")
+    k = len(per_sweep)
+    values = sorted({int(v) for vals, _ in per_sweep for v in vals.tolist()})
+    column = {v: j for j, v in enumerate(values)}
+    counts = np.zeros((k, len(values)))
+    for i, (vals, cnt) in enumerate(per_sweep):
+        counts[i, [column[v] for v in vals.tolist()]] = cnt
+    n_window = (box_size - 2 * d) ** 2
+    probs, ci, hits, warnings = {}, {}, {}, []
+    for v, j in column.items():
+        hits[v] = int(counts[:, j].sum())
+        probs[v] = hits[v] / (k * n_window)
+        ci[v] = batch_means_ci(counts[:, j] / n_window)[1]
+        if hits[v] < 25:
+            warnings.append(f"height {v}: only {hits[v]} hits, CI unreliable")
     return HeightHistogram(p=params.p, beta=params.beta, box_size=box_size,
-                           probs=probs, n_samples=int(k), ci_half=ci,
-                           warnings=warnings)
+                           probs=probs, n_samples=k, ci_half=ci,
+                           warnings=warnings, margin=d, hits=hits)
 
 
 @dataclass

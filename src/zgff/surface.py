@@ -262,6 +262,8 @@ class DiscreteDist:
 
 _COND_CACHE = {}
 _COND_CACHE_MAX = 1 << 20
+# exp(-700) ~ 1e-304 is close to the smallest normal double
+_MAX_EXPONENT = 700.0
 
 
 def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
@@ -291,20 +293,32 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
     hi = None if ceiling is None else ceiling - shift
     p, beta = params.p, params.beta
 
-    def w(k):
+    def energy(k):
         if p == 2:
-            s = sum((k - v) * (k - v) for v in n0)
-        elif p == 1:
-            s = sum(abs(k - v) for v in n0)
-        else:
-            s = sum(abs(k - v) ** p for v in n0)
-        return exp(-beta * s)
+            return sum((k - v) * (k - v) for v in n0)
+        if p == 1:
+            return sum(abs(k - v) for v in n0)
+        return sum(abs(k - v) ** p for v in n0)
 
-    m = (n0[1] + n0[2]) // 2
-    if lo is not None and m < lo:
-        m = lo
-    if hi is not None and m > hi:
-        m = hi
+    def clamp(k):
+        if lo is not None and k < lo:
+            k = lo
+        if hi is not None and k > hi:
+            k = hi
+        return k
+
+    m = clamp((n0[1] + n0[2]) // 2)
+    e0 = 0
+    if beta * energy(m) > _MAX_EXPONENT:
+        # exp(-beta * energy) would underflow near m (a bound far from the
+        # neighbours): start at the least-energy point instead, which lies
+        # between the clamped extreme neighbours since the energy is convex,
+        # and measure energies from it
+        m = min(range(clamp(n0[0]), clamp(n0[3]) + 1), key=energy)
+        e0 = energy(m)
+
+    def w(k):
+        return exp(-beta * (energy(k) - e0))
 
     ks = [m]
     ws = [w(m)]

@@ -164,3 +164,64 @@ def test_height_fluctuation_exponent_fit():
     assert height_fluctuation_exponent(scales) == pytest.approx(1 / 3, abs=1e-9)
     with pytest.raises(InfeasibleError):
         height_fluctuation_exponent({128: 3.0})
+
+
+README_ENDTOEND_CONFIG = """\
+[pipeline]
+name = endtoend
+[model]
+p = 2.0
+beta = 0.8
+boundary = all:0
+floor = 0
+ceiling = none
+[lattice]
+L = 128
+[run]
+sweeps = 2000
+burnin = 400
+thinning = 10
+seed = 7
+levels = 1
+[out]
+dir = out/e2e
+"""
+
+
+def test_cli_readme_endtoend_config_exits_zero(tmp_path, monkeypatch):
+    # the worked config of the README, unmodified and unmocked; it writes to
+    # its relative out/e2e, here under tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e2e.cfg").write_text(README_ENDTOEND_CONFIG)
+    assert main(["endtoend", "--config", "e2e.cfg"]) == 0
+    rec = json.loads((tmp_path / "out" / "e2e" / "endtoend.json").read_text())
+    assert rec["H"] == 1
+    assert rec["ks_by_level"]["0"] is not None
+
+
+def test_cli_ordering_error_exits_3(tmp_path, monkeypatch, capsys):
+    from zgff.errors import OrderingError
+
+    def unordered(cfg, out_dir=None):
+        raise OrderingError("lower heights exceed upper heights")
+
+    monkeypatch.setattr("zgff.experiments.run_pipeline", unordered)
+    assert main(["simulate", "--out", str(tmp_path / "o")]) == 3
+    assert "lower heights exceed upper heights" in capsys.readouterr().err
+
+
+def test_scales_pipeline_records_bulk_window(tmp_path):
+    cfg = ExperimentConfig.default()
+    cfg.set("pipeline", "name", "scales")
+    cfg.set("run", "sweeps", 200)
+    cfg.set("run", "burnin", 50)
+    cfg.set("out", "dir", str(tmp_path))
+    run_pipeline(cfg)
+    rec = json.loads((tmp_path / "scales.json").read_text())
+    # L = 64 gives the 48-box proxy and its 32 x 32 bulk window
+    assert (rec["box_size"], rec["bulk_margin"], rec["n_samples"]) == (48, 8, 200)
+    assert sum(rec["hits"].values()) == 200 * 32 * 32
+    rows = (tmp_path / "scale_table.csv").read_text().splitlines()[2:]
+    for row in rows:
+        h, prob = row.split(",")[:2]
+        assert float(prob) == rec["hits"][h] / (200 * 32 * 32)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import disagreement_duals_reference
-from zgff.errors import CoverageError
+from zgff.errors import CoverageError, StructureError
 from zgff.levellines import (LevelLoop, disagreement_bond_set, enclosed_region,
                              extract_level_lines, loops_to_records,
                              macroscopic_threshold, nesting_report, profile,
-                             rescale)
-from zgff.surface import SurfaceConfig
+                             rescale, top_level_loop)
+from zgff.surface import SurfaceConfig, build_boundary
 
 
 def test_all_below_level_empty():
@@ -209,3 +209,86 @@ def test_loops_to_records_shape():
     assert recs[0]["level"] == 1 and recs[0]["length"] == 4
     assert recs[0]["area"] == 1
     assert all(len(b) == 3 for b in recs[0]["bonds"])
+
+
+def _largest_macroscopic(config, h):
+    macro = [lp for lp in extract_level_lines(config, h) if lp.macroscopic]
+    return max(macro, key=lambda lp: lp.interior_area) if macro else None
+
+
+def _count_extractions(monkeypatch):
+    import zgff.levellines as ll
+    calls = []
+    real = ll.extract_level_lines
+
+    def counted(config, h):
+        calls.append(h)
+        return real(config, h)
+
+    monkeypatch.setattr(ll, "extract_level_lines", counted)
+    return calls
+
+
+def _sampled_plateau(L, seed):
+    from zgff.mcmc import sample_equilibrium
+    from zgff.surface import ModelParams, build_boundary
+    params = ModelParams(p=2.0, beta=0.8, floor_spec=0)
+    init = SurfaceConfig.flat(L, value=1, boundary=build_boundary(("all", 0), L),
+                              floor=0)
+    snaps, _ = sample_equilibrium(params, L, 30, 10, 10, seed, initial=init,
+                                  scan_order="checkerboard")
+    return snaps
+
+
+def test_top_level_loop_matches_largest_loop_on_sampled_plateaus(monkeypatch):
+    snaps = _sampled_plateau(64, 5) + _sampled_plateau(96, 6)
+    refs = [_largest_macroscopic(s, 1) for s in snaps]
+    calls = _count_extractions(monkeypatch)
+    for snap, ref in zip(snaps, refs):
+        top = top_level_loop(snap, 1)
+        assert set(top.bonds) == set(ref.bonds)
+        assert top.interior_area == ref.interior_area > snap.L ** 2 / 2
+        assert top.length == ref.length and top.macroscopic
+    assert calls == []          # every snapshot took the traced path
+
+
+def test_top_level_loop_fallbacks(monkeypatch):
+    # small plateau: the traced loop encloses less than half the box
+    small = SurfaceConfig.flat(32)
+    small.heights[12:20, 10:18] = 1
+    small.heights[2, 2] = 1
+    # ring at the level (split-arc on every side): loops wind around the low
+    # regions, and the largest is not the one through the centre column
+    raised = SurfaceConfig.flat(32, value=1, boundary=build_boundary(
+        ("split-arc", ("top", "right", "bottom", "left")), 32, H=1, n=0))
+    raised.heights[3:29, 2:20] = 0
+    raised.heights[14:18, 24:28] = 0
+    # centre column entirely below the level, a macroscopic loop elsewhere
+    offside = SurfaceConfig.flat(32)
+    offside.heights[2:12, 4:28] = 1
+    cases = [small, raised, offside]
+    refs = [_largest_macroscopic(c, 1) for c in cases]
+    calls = _count_extractions(monkeypatch)
+    for cfg, ref in zip(cases, refs):
+        top = top_level_loop(cfg, 1)
+        assert set(top.bonds) == set(ref.bonds)
+        assert top.interior_area == ref.interior_area
+    assert calls == [1, 1, 1]
+
+
+def test_top_level_loop_none_without_macroscopic_loop():
+    assert top_level_loop(SurfaceConfig.flat(16), 1) is None
+    cfg = SurfaceConfig.flat(16)
+    cfg.heights[8, 8] = 1        # a unit loop, below the log^2 L threshold
+    assert top_level_loop(cfg, 1) is None
+
+
+def test_level_crossing_a_split_ring_is_a_structure_error():
+    # the level separates two ring arcs, so its lines end on the ring
+    cfg = SurfaceConfig.flat(16, boundary=build_boundary(
+        ("split-arc", ("bottom",)), 16, H=1, n=0))
+    cfg.heights[4:12, 4:12] = 1
+    with pytest.raises(StructureError, match="degree 1"):
+        extract_level_lines(cfg, 1)
+    with pytest.raises(StructureError):
+        top_level_loop(cfg, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gibbs_2x2_exact
+from oracles import box_center_marginal_exact, gibbs_2x2_exact
 from zgff.errors import InvalidConstraintError, OrderingError, StructureError
 from zgff.mcmc import (ChainState, cftp_sample, coupled_batch_run,
                        heat_bath_sweep, load_checkpoint, monotone_coupled_sweep,
@@ -268,3 +268,156 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_sweeps_burnin_validation():
     with pytest.raises(StructureError):
         sample_equilibrium(ModelParams(), 4, 10, 10, 1, seed=0)
+
+
+def _colour_sweep_reference(cfg, params, u):
+    """Scalar checkerboard sweep: every site of the even colour, then every
+    site of the odd one, drawn by local_conditional(...).quantile(u)."""
+    L = cfg.L
+    for colour in (0, 1):
+        for x in range(L):
+            for y in range(L):
+                if (x + y) % 2 == colour:
+                    d = local_conditional(cfg.neighbor_heights(x, y),
+                                          cfg.floor_at(x, y),
+                                          cfg.ceiling_at(x, y), params)
+                    cfg.heights[x, y] = d.quantile(u[y * L + x])
+
+
+def _kernel_cases(rng, L):
+    """12x12 states for the draw-for-draw checks: scalar and per-site bounds,
+    rings far below the floor, no bounds, and neighbour gaps of order 10^6
+    under tight per-site bounds."""
+    ring0 = build_boundary(("all", 0), L)
+    ring = {s: int(rng.integers(-3, 4)) for s in ring0}
+    f = rng.integers(-3, 2, size=(L, L)).astype(np.int32)
+    c = (f + rng.integers(0, 4, size=(L, L))).astype(np.int32)
+    between = (f + rng.random((L, L)) * (c - f + 1)).astype(np.int32)
+    big = rng.integers(-10 ** 6, 10 ** 6, size=(L, L)).astype(np.int32)
+    return {
+        "scalar floor": SurfaceConfig(
+            L, rng.integers(0, 5, size=(L, L)).astype(np.int32), ring0, floor=0),
+        "array floor and ceiling": SurfaceConfig(L, between, ring, floor=f, ceiling=c),
+        "ring far below scalar bounds": SurfaceConfig(
+            L, rng.integers(0, 4, size=(L, L)).astype(np.int32),
+            {s: -60 for s in ring0}, floor=0, ceiling=3),
+        "ring far below array floor": SurfaceConfig(
+            L, (f + 2).astype(np.int32),
+            {s: int(rng.integers(-90, -40)) for s in ring0}, floor=f + 2),
+        "unbounded": SurfaceConfig(
+            L, rng.integers(-4, 5, size=(L, L)).astype(np.int32), ring),
+        "huge gaps, tight bounds": SurfaceConfig(L, big, ring0, floor=big - 1,
+                                                 ceiling=big + 1),
+    }
+
+
+@pytest.mark.parametrize("beta", [0.8, 2.5])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_checkerboard_kernel_matches_scalar_draws(p, beta):
+    params = ModelParams(p=p, beta=beta)
+    L, seed = 12, 31
+    cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
+    for name, cfg in cases.items():
+        ref = cfg.copy()
+        state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
+        for t in range(3):
+            run_chain(state, params, 1)
+            _colour_sweep_reference(ref, params, sweep_uniforms(seed, t, L * L))
+            assert np.array_equal(cfg.heights, ref.heights), (name, t)
+
+
+def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps):
+    """Scalar raster sweeps of every replica with the shared uniforms."""
+    B, W, _ = pad.shape
+    L = W - 2
+    for t in range(n_sweeps):
+        u = sweep_uniforms(seed, t, L * L)
+        for g, f, c in zip(pad, floors, ceilings):
+            for y in range(L):
+                for x in range(L):
+                    nb = (int(g[x, y + 1]), int(g[x + 2, y + 1]),
+                          int(g[x + 1, y]), int(g[x + 1, y + 2]))
+                    d = local_conditional(nb, int(f[x, y]), int(c[x, y]), params)
+                    g[x + 1, y + 1] = d.quantile(u[y * L + x])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_coupled_batch_matches_scalar_raster_draws(p):
+    rng = np.random.default_rng(41)
+    params = ModelParams(p=p, beta=1.5)
+    B, L, seed, sweeps = 40, 3, 17, 4
+    pad_lo = rng.integers(-3, 2, size=(B, L + 2, L + 2))
+    pad_up = pad_lo + rng.integers(0, 3, size=(B, L + 2, L + 2))
+    inner = np.s_[:, 1:L + 1, 1:L + 1]
+    f_lo = pad_lo[inner] - rng.integers(0, 3, size=(B, L, L))
+    f_up = np.minimum(f_lo + rng.integers(0, 3, size=(B, L, L)), pad_up[inner])
+    c_up = pad_up[inner] + rng.integers(1, 4, size=(B, L, L))
+    c_lo = np.maximum(c_up - rng.integers(0, 3, size=(B, L, L)), pad_lo[inner])
+    ref_lo, ref_up = pad_lo.copy(), pad_up.copy()
+    violations = coupled_batch_run(pad_lo, pad_up, params, seed, sweeps,
+                                   floors_lo=f_lo, floors_up=f_up,
+                                   ceilings_lo=c_lo, ceilings_up=c_up)
+    _raster_batch_reference(ref_lo, f_lo, c_lo, params, seed, sweeps)
+    _raster_batch_reference(ref_up, f_up, c_up, params, seed, sweeps)
+    assert violations == 0
+    assert np.array_equal(pad_lo, ref_lo)
+    assert np.array_equal(pad_up, ref_up)
+
+
+def test_kernel_rejects_floor_above_ceiling():
+    params = ModelParams(p=2, beta=1.0)
+    floor = np.zeros((4, 4), dtype=np.int32)
+    floor[1, 2] = 3
+    cfg = SurfaceConfig.flat(4, floor=floor, ceiling=2)
+    with pytest.raises(InvalidConstraintError):
+        run_chain(ChainState(config=cfg, seed=1, scan_order="checkerboard"),
+                  params, 1)
+
+
+def test_checkerboard_centre_marginal_matches_exact_3x3():
+    # the 3x3 centre-marginal oracle on the checkerboard path (the scales
+    # estimator takes the raster path on boxes this small)
+    params = ModelParams(p=2, beta=1.0)
+    exact = box_center_marginal_exact(3, 1.0, 2.0, M=2)
+    state = ChainState(config=SurfaceConfig.flat(3), seed=4,
+                       scan_order="checkerboard")
+    run_chain(state, params, 50)
+    counts = {}
+
+    def on_sweep(k, cfg, interior):
+        h = int(cfg.heights[1, 1])
+        counts[h] = counts.get(h, 0) + 1
+
+    n = 30_000
+    run_chain(state, params, n, on_sweep=on_sweep)
+    tv = 0.5 * sum(abs(counts.get(h, 0) / n - pr) for h, pr in exact.items())
+    tv += 0.5 * sum(c / n for h, c in counts.items() if h not in exact)
+    assert tv < 0.02
+
+
+@pytest.mark.parametrize("beta", [0.8, 2.5])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_kernel_quantiles_match_scalar_on_a_uniform_grid(p, beta):
+    # one site across a batch of identical replicas, each with its own
+    # uniform: the kernel's inverse CDF against local_conditional's at 1000
+    # evenly spread uniforms, so any law difference above 1e-3 shows. The
+    # grid is offset by an irrational so no uniform sits on a CDF value
+    # (0.5 is one for symmetric laws), where last-bit rounding differences
+    # of the two tables would decide the draw
+    from zgff.mcmc import _Kernel, _block
+    params = ModelParams(p=p, beta=beta)
+    kernel = _Kernel(params)
+    rng = np.random.default_rng(int(100 * p + 10 * beta))
+    B, W = 1000, 3
+    u = (np.arange(B) + 2 ** -0.5) / B
+    sites, neighbours = _block(np.arange(B) * W * W + W + 1, W)
+    for _ in range(60):
+        nb = [int(v) for v in rng.integers(-6, 7, size=4)]
+        lo = None if rng.random() < 0.3 else int(rng.integers(-12, 6))
+        hi = None if rng.random() < 0.3 else int(rng.integers(-6 if lo is None else lo, 12))
+        flat = np.zeros(B * W * W, dtype=np.int64)
+        for n, v in zip(neighbours, nb):
+            flat[n] = v
+        kernel.update(flat, sites, neighbours, u, lo, hi)
+        d = local_conditional(nb, lo, hi, params)
+        assert flat[sites].tolist() == [d.quantile(x) for x in u], (nb, lo, hi)

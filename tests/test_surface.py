@@ -116,6 +116,29 @@ def test_conditional_bounds_and_errors():
     assert d.support == [5] and d.probs == [1.0]
 
 
+def test_conditional_far_from_bound_or_spread_neighbours():
+    # energies beyond exp's range at the neighbours' median (a floor far
+    # above a neighbour, or neighbours far apart) still give the exact law
+    params = ModelParams(p=2, beta=0.8)
+    d = local_conditional((-40, 0, 0, 0), 0, None, params)
+    assert d.support[0] == 0 and d.probs[0] > 1 - 1e-15
+
+    def e(k):
+        return (k + 100) ** 2 + 3 * k * k
+
+    d = local_conditional((-100, 0, 0, 0), None, None, params)
+    mode = max(d.support, key=d.prob)
+    assert mode == -25
+    for k in (-27, -26, -24, -23):
+        assert d.prob(k) / d.prob(mode) == pytest.approx(
+            math.exp(-0.8 * (e(k) - e(mode))), rel=1e-10)
+    d = local_conditional((-60, 5, 5, 5), 0, 3, ModelParams(p=1.5, beta=2.5))
+    assert d.support == [0, 1, 2, 3]
+    for k in (1, 2, 3):
+        de = (k + 60) ** 1.5 - 60 ** 1.5 + 3 * ((5 - k) ** 1.5 - 5 ** 1.5)
+        assert d.prob(k) / d.prob(0) == pytest.approx(math.exp(-2.5 * de), rel=1e-9)
+
+
 def test_conditional_quantile_monotone():
     d = local_conditional((1, 0, 0, 0), None, None, ModelParams(p=2, beta=0.7))
     qs = [d.quantile(u) for u in np.linspace(0.001, 0.999, 200)]
