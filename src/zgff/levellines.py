@@ -173,19 +173,26 @@ def extract_level_lines(config: SurfaceConfig, h):
     Returns a list of LevelLoop whose bond sets partition the disagreement
     dual set for level h.
     """
-    bonds = disagreement_bond_set(config, h)
-    if not bonds:
-        return []
-    slots = _corner_slots(config, h)
+    return _loops(_corner_slots(config, h), h, config.L)
+
+
+def _loops(slots, h, L):
+    """All loops on the corner slot masks of level h (extract_level_lines)."""
     odd = np.argwhere(np.isin(slots, _ODD_MASKS))
     if len(odd):
         a, b = (int(v) for v in odd[0])
         raise StructureError(f"corner {(a, b)} has degree "
                              f"{bin(int(slots[a, b])).count('1')}")
+    # each bond once: as the E slot (h) or the N slot (v) of its corner
+    ha, hb = np.nonzero(slots & 2)
+    va, vb = np.nonzero(slots & 8)
+    ordered = sorted([(a, b, "h") for a, b in zip(ha.tolist(), hb.tolist())]
+                     + [(a, b, "v") for a, b in zip(va.tolist(), vb.tolist())])
+    if not ordered:
+        return []
     slots = slots.tolist()
-    thresh = macroscopic_threshold(config.L)
-    unused = set(bonds)
-    ordered = sorted(bonds)  # deterministic traversal order
+    thresh = macroscopic_threshold(L)
+    unused = set(ordered)
     cursor = 0
     loops = []
     while unused:
@@ -208,14 +215,14 @@ def top_level_loop(config: SurfaceConfig, h):
     extracted.
     """
     L = config.L
+    slots = _corner_slots(config, h)
     column = config.heights[L // 2] >= h
     if max(config.boundary.values()) < h and column.any():
         start = (L // 2, int(np.argmax(column)), "h")
-        loop = _make_loop(h, _trace(_corner_slots(config, h), start),
-                          macroscopic_threshold(L))
+        loop = _make_loop(h, _trace(slots, start), macroscopic_threshold(L))
         if loop.macroscopic and 2 * loop.interior_area > L * L:
             return loop
-    macro = [lp for lp in extract_level_lines(config, h) if lp.macroscopic]
+    macro = [lp for lp in _loops(slots, h, L) if lp.macroscopic]
     return max(macro, key=lambda lp: lp.interior_area) if macro else None
 
 

@@ -259,23 +259,8 @@ class _Kernel:
         base = nb[0]
         cols = [nb[1] - base, nb[2] - base, nb[3] - base]
         cols += [np.broadcast_to(b - base, base.shape) for b in (lo, hi) if b is not None]
-        # one mixed-radix code per key, so a 1-D unique finds the distinct keys
-        radix = [(int(c.min()), int(c.max()) - int(c.min()) + 1) for c in cols]
-        if np.prod([float(span) for _, span in radix]) < 2.0 ** 62:
-            code = np.zeros_like(base)
-            for c, (mn, span) in zip(cols, radix):
-                code = code * span + (c - mn)
-            uniq, inv = np.unique(code, return_inverse=True)
-            keys = []
-            for v in uniq.tolist():
-                key = []
-                for mn, span in reversed(radix):
-                    v, digit = divmod(v, span)
-                    key.append(digit + mn)
-                keys.append(key[::-1])
-        else:
-            uniq, inv = np.unique(np.stack(cols), axis=1, return_inverse=True)
-            keys = uniq.T.tolist()
+        uniq, inv = np.unique(np.stack(cols), axis=1, return_inverse=True)
+        keys = uniq.T.tolist()
         rows = np.empty(len(keys), dtype=np.int64)
         for j, key in enumerate(keys):
             fo = None if lo is None else key[3]

@@ -262,8 +262,6 @@ class DiscreteDist:
 
 _COND_CACHE = {}
 _COND_CACHE_MAX = 1 << 20
-# exp(-700) ~ 1e-304 is close to the smallest normal double
-_MAX_EXPONENT = 700.0
 
 
 def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
@@ -307,45 +305,56 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
             k = hi
         return k
 
-    m = clamp((n0[1] + n0[2]) // 2)
-    e0 = 0
-    if beta * energy(m) > _MAX_EXPONENT:
-        # exp(-beta * energy) would underflow near m (a bound far from the
-        # neighbours): start at the least-energy point instead, which lies
-        # between the clamped extreme neighbours since the energy is convex,
-        # and measure energies from it
+    def grow(m, e0):
+        """Support, weights and total of the row grown from m, energies
+        measured from e0; None where the weights underflow: every one is 0,
+        or the truncation rule can never stop because, past an unbounded
+        extreme neighbour, the weight and TRUNCATION_EPS times the total
+        are both 0."""
+        def w(k):
+            return exp(-beta * (energy(k) - e0))
+
+        ks = [m]
+        ws = [w(m)]
+        total = ws[0]
+        # grow upward
+        k = m + 1
+        while hi is None or k <= hi:
+            wk = w(k)
+            if wk < TRUNCATION_EPS * total and k > n0[3]:
+                break
+            if hi is None and k > n0[3] and wk == TRUNCATION_EPS * total == 0.0:
+                return None
+            ks.append(k)
+            ws.append(wk)
+            total += wk
+            k += 1
+        # grow downward
+        k = m - 1
+        head_ks, head_ws = [], []
+        while lo is None or k >= lo:
+            wk = w(k)
+            if wk < TRUNCATION_EPS * total and k < n0[0]:
+                break
+            if lo is None and k < n0[0] and wk == TRUNCATION_EPS * total == 0.0:
+                return None
+            head_ks.append(k)
+            head_ws.append(wk)
+            total += wk
+            k -= 1
+        if total == 0.0:
+            return None
+        return head_ks[::-1] + ks, head_ws[::-1] + ws, total
+
+    row = grow(clamp((n0[1] + n0[2]) // 2), 0)
+    if row is None:
+        # the weights underflow around the neighbours' median (a bound far
+        # from the neighbours): grow from the least-energy point instead,
+        # which lies between the clamped extreme neighbours since the energy
+        # is convex, and measure energies from it
         m = min(range(clamp(n0[0]), clamp(n0[3]) + 1), key=energy)
-        e0 = energy(m)
-
-    def w(k):
-        return exp(-beta * (energy(k) - e0))
-
-    ks = [m]
-    ws = [w(m)]
-    total = ws[0]
-    # grow upward
-    k = m + 1
-    while hi is None or k <= hi:
-        wk = w(k)
-        if wk < TRUNCATION_EPS * total and k > n0[3]:
-            break
-        ks.append(k)
-        ws.append(wk)
-        total += wk
-        k += 1
-    # grow downward
-    k = m - 1
-    head_ks, head_ws = [], []
-    while lo is None or k >= lo:
-        wk = w(k)
-        if wk < TRUNCATION_EPS * total and k < n0[0]:
-            break
-        head_ks.append(k)
-        head_ws.append(wk)
-        total += wk
-        k -= 1
-    support = head_ks[::-1] + ks
-    weights = head_ws[::-1] + ws
+        row = grow(m, energy(m))
+    support, weights, total = row
 
     probs = [x / total for x in weights]
     cdf = []

@@ -217,15 +217,16 @@ def _largest_macroscopic(config, h):
 
 
 def _count_extractions(monkeypatch):
+    # levels at which every loop is extracted (extract_level_lines' core)
     import zgff.levellines as ll
     calls = []
-    real = ll.extract_level_lines
+    real = ll._loops
 
-    def counted(config, h):
+    def counted(slots, h, L):
         calls.append(h)
-        return real(config, h)
+        return real(slots, h, L)
 
-    monkeypatch.setattr(ll, "extract_level_lines", counted)
+    monkeypatch.setattr(ll, "_loops", counted)
     return calls
 
 

@@ -132,6 +132,10 @@ def test_conditional_far_from_bound_or_spread_neighbours():
     for k in (-27, -26, -24, -23):
         assert d.prob(k) / d.prob(mode) == pytest.approx(
             math.exp(-0.8 * (e(k) - e(mode))), rel=1e-10)
+    # weights at the median are subnormal and TRUNCATION_EPS times them is 0
+    d = local_conditional((0, 0, 30, 30), None, None, params)
+    assert max(d.support, key=d.prob) == 15
+    assert d.prob(16) / d.prob(15) == pytest.approx(math.exp(-0.8 * 4), rel=1e-10)
     d = local_conditional((-60, 5, 5, 5), 0, 3, ModelParams(p=1.5, beta=2.5))
     assert d.support == [0, 1, 2, 3]
     for k in (1, 2, 3):
