@@ -25,7 +25,8 @@ from .levellines import (extract_level_lines, loops_to_records, profile,
 from .mcmc import sample_equilibrium
 from .rw import (TiltedBridgeSpec, basic_increment_law, enumerated_increment_law,
                  fs_comparison, sample_tilted_bridge, transfer_matrix_exact)
-from .scales import compute_scales, estimate_height_prob, ld_diagnostics
+from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
+                     proxy_box_side)
 from .stats import correlation
 from .surface import build_boundary, write_snapshot
 from .tension import tension_table, unit_wulff, wulff_from_table
@@ -89,8 +90,8 @@ def run_scales(cfg, out_dir):
     params = model_params_from(cfg)
     L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
-    box = min(max(24, int(4 * math.log(L) ** 2)), 48)
-    hist = estimate_height_prob(params, box, cfg.get("run", "sweeps"), seed)
+    hist = estimate_height_prob(params, proxy_box_side(L), cfg.get("run", "sweeps"),
+                                seed)
     table = compute_scales(hist, L, m=cfg.get("run", "levels"))
     lines = [f"# config_hash={cfg.hash()}", "h,prob,ci_half,L_h"]
     for h in sorted(hist.probs):
@@ -229,8 +230,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
     seed = cfg.get("run", "seed")
     m = cfg.get("run", "levels")
     if scale_table is None:
-        box = min(max(24, int(4 * math.log(L) ** 2)), 48)
-        hist = hist or estimate_height_prob(params, box,
+        hist = hist or estimate_height_prob(params, proxy_box_side(L),
                                             max(2000, cfg.get("run", "sweeps")),
                                             seed + 101)
         scale_table = compute_scales(hist, L, m=m)

@@ -176,13 +176,19 @@ def extract_level_lines(config: SurfaceConfig, h):
     return _loops(_corner_slots(config, h), h, config.L)
 
 
-def _loops(slots, h, L):
-    """All loops on the corner slot masks of level h (extract_level_lines)."""
+def _check_even(slots):
+    """Raise StructureError at the first odd-degree corner in raster order;
+    one occurs exactly where the ring is split across the level."""
     odd = np.argwhere(np.isin(slots, _ODD_MASKS))
     if len(odd):
         a, b = (int(v) for v in odd[0])
         raise StructureError(f"corner {(a, b)} has degree "
                              f"{bin(int(slots[a, b])).count('1')}")
+
+
+def _loops(slots, h, L):
+    """All loops on the corner slot masks of level h (extract_level_lines)."""
+    _check_even(slots)
     # each bond once: as the E slot (h) or the N slot (v) of its corner
     ha, hb = np.nonzero(slots & 2)
     va, vb = np.nonzero(slots & 8)
@@ -227,20 +233,15 @@ def top_level_loop(config: SurfaceConfig, h):
 
 
 def enclosed_region(config: SurfaceConfig, h):
-    """Cells enclosed by an odd number of level-h loops. With a ring below h
-    this is exactly {phi >= h}; used for the monotone-containment check."""
-    bonds = disagreement_bond_set(config, h)
-    rows = {}
-    for (a, b, d) in bonds:
-        if d == "v":
-            rows.setdefault(b, []).append(a)
-    cells = set()
-    for b, alist in rows.items():
-        alist.sort()
-        for i in range(0, len(alist), 2):
-            for x in range(alist[i], alist[i + 1]):
-                cells.add((x, b))
-    return cells
+    """Cells enclosed by an odd number of level-h loops: cell (x, b) is
+    enclosed when an odd number of the vertical bonds (a, b, 'v') lie at
+    a <= x, i.e. N slots of corners (a, b). With a ring below h this is
+    exactly {phi >= h}; used for the monotone-containment check."""
+    L = config.L
+    slots = _corner_slots(config, h)
+    _check_even(slots)
+    xs, bs = np.nonzero(np.cumsum(slots[:L, :L] >> 3 & 1, axis=0) & 1)
+    return set(zip(xs.tolist(), bs.tolist()))
 
 
 def nesting_report(config: SurfaceConfig, h_max=None):

@@ -3,12 +3,12 @@
 Randomness is counter-based: the uniform that updates site (x, y) in sweep t
 of a chain is a pure function of (seed, chain, sweep, site). Concretely,
 sweeps are grouped in blocks of B = max(1, 65536 // L^2) sweeps; block g is
-the output of Philox keyed by (seed, chain) at counter (0, 0, stream, g), and
+the output of Philox keyed by (seed, chain) at counter (0, 0, 0, g), and
 sweep t reads its L^2 uniforms (indexed y*L + x) from slice t mod B of block
 t // B. Replaying from (seed, sweep 0) reproduces a chain bit-exactly
-regardless of scheduling, and two chains driven by the same (seed, sweep,
-site) triples share their randomness, which is what the monotone coupling
-needs.
+regardless of scheduling, and two chains with the same (seed, chain, sweep)
+read the same uniforms: the monotone coupling is run_chain on each state of
+an ordered pair over the same sweeps.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import InvalidConstraintError, OrderingError, StructureError
 from .surface import (ModelParams, SurfaceConfig, conditional_tables,
-                      local_conditional, write_snapshot, read_snapshot)
+                      write_snapshot, read_snapshot)
 
-SCAN_ORDERS = ("raster", "random-permutation", "checkerboard")
+SCAN_ORDERS = ("raster", "checkerboard")
 
 _BLOCK_TARGET = 1 << 16
 
@@ -30,16 +30,15 @@ _BLOCK_TARGET = 1 << 16
 class UniformStream:
     """Serves the per-sweep uniform vectors of one chain (see module doc)."""
 
-    def __init__(self, seed, n_per_sweep, stream=0, chain=0):
+    def __init__(self, seed, n_per_sweep, chain=0):
         self.key = np.array([seed % (1 << 64), chain % (1 << 64)], dtype=np.uint64)
         self.n = n_per_sweep
-        self.stream = stream % (1 << 64)
         self.block_sweeps = max(1, _BLOCK_TARGET // max(1, n_per_sweep))
         self._block_id = -1
         self._block = None
 
     def _load(self, g):
-        counter = np.array([0, 0, self.stream, g % (1 << 64)], dtype=np.uint64)
+        counter = np.array([0, 0, 0, g % (1 << 64)], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=self.key, counter=counter))
         self._block = gen.random(self.block_sweeps * self.n)
         self._block_id = g
@@ -49,14 +48,6 @@ class UniformStream:
         if g != self._block_id:
             self._load(g)
         return self._block[r * self.n:(r + 1) * self.n]
-
-    def sweep_list(self, t):
-        return self.sweep(t).tolist()
-
-
-def sweep_uniforms(seed, sweep, n, stream=0, chain=0):
-    """The n uniforms of one sweep (one-shot convenience wrapper)."""
-    return UniformStream(seed, n, stream=stream, chain=chain).sweep(sweep)
 
 
 @dataclass
@@ -70,16 +61,6 @@ class ChainState:
     def __post_init__(self):
         if self.scan_order not in SCAN_ORDERS:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
-
-
-def _site_order(L, scan_order, seed, sweep, chain):
-    if scan_order == "raster":
-        return _raster_order(L)
-    if scan_order == "random-permutation":
-        u = sweep_uniforms(seed, sweep, L * L, stream=1, chain=chain)
-        order = np.argsort(u, kind="stable")
-        return [(int(i % L), int(i // L)) for i in order]
-    raise StructureError(f"no site order for scan {scan_order!r}")
 
 
 def _sweep_grid(grid, L, config, params, u, order):
@@ -102,12 +83,6 @@ def _sweep_grid(grid, L, config, params, u, order):
         grid[i] = support0[bisect_right(cdf, u[y * L + x])] + shift
 
 
-def _flat_index_grid(config):
-    L = config.L
-    g = config.padded()  # (L+2, L+2) indexed [x+1, y+1]
-    return g.reshape(-1).tolist()
-
-
 def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
     """Resample every interior site once from its exact conditional.
 
@@ -120,55 +95,49 @@ def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
 
 
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
-    """Advance a chain by n_sweeps systematic sweeps.
+    """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
-    on_sweep, if given, is called after each sweep as on_sweep(sweep_count,
-    grid, interior_indices) with the flat padded grid (checkerboard scan
-    passes the config instead of a grid). This is the engine behind
-    heat_bath_sweep and sample_equilibrium.
+    The chain runs on one padded grid built by config.padded(). on_sweep, if
+    given, is called after each sweep as on_sweep(sweep_count, heights), where
+    heights is the (L, L) int64 [x, y] interior view of that grid; it stays
+    valid until the next sweep. config.heights is written back once, at the
+    end. This is the engine behind heat_bath_sweep, sample_equilibrium and
+    the monotone coupling.
     """
     cfg = state.config
     L = cfg.L
     us = UniformStream(state.seed, L * L, chain=state.chain_id)
-    W = L + 2
-    if state.scan_order == "checkerboard":
-        kernel = _Kernel(params)
-        flat = cfg.padded().reshape(-1)
-        interior = flat.reshape(W, W)[1:L + 1, 1:L + 1]
-        phases = _checkerboard_phases(cfg)
-        for _ in range(n_sweeps):
-            _sweep_phases(kernel, flat, phases, us.sweep(state.sweep_count))
-            state.sweep_count += 1
-            if on_sweep is not None:
-                cfg.heights[:, :] = interior
-                on_sweep(state.sweep_count, cfg, None)
-        cfg.heights[:, :] = interior
-        return state
-    grid = _flat_index_grid(cfg)
-    interior = [(x + 1) * W + (y + 1) for y in range(L) for x in range(L)]
+    padded = cfg.padded()
+    flat = padded.reshape(-1)
+    heights = padded[1:L + 1, 1:L + 1]
     raster = state.scan_order == "raster"
-    order = _raster_order(L) if raster else None
+    if raster:
+        grid = flat.tolist()
+        order = _raster_order(L)
+
+        def sweep(u):
+            _sweep_grid(grid, L, cfg, params, u.tolist(), order)
+            if on_sweep is not None:
+                flat[:] = grid
+    else:
+        kernel = _Kernel(params)
+        phases = _checkerboard_phases(cfg)
+
+        def sweep(u):
+            _sweep_phases(kernel, flat, phases, u)
     for _ in range(n_sweeps):
-        u = us.sweep_list(state.sweep_count)
-        if not raster:
-            order = _site_order(L, state.scan_order, state.seed,
-                                state.sweep_count, state.chain_id)
-        _sweep_grid(grid, L, cfg, params, u, order)
+        sweep(us.sweep(state.sweep_count))
         state.sweep_count += 1
         if on_sweep is not None:
-            on_sweep(state.sweep_count, grid, interior)
-    _write_back(cfg, grid)
+            on_sweep(state.sweep_count, heights)
+    if raster:
+        flat[:] = grid
+    cfg.heights[:, :] = heights
     return state
 
 
 def _raster_order(L):
     return [(x, y) for y in range(L) for x in range(L)]
-
-
-def _write_back(cfg, grid):
-    L = cfg.L
-    arr = np.asarray(grid, dtype=np.int64).reshape(L + 2, L + 2)
-    cfg.heights[:, :] = arr[1:L + 1, 1:L + 1].astype(np.int32)
 
 
 _FILL = 2.0  # pads CDF rows past their support; above every uniform
@@ -372,37 +341,30 @@ def _as_grid(b, L, sentinel):
     return np.full((L, L), float(b))
 
 
-def monotone_coupled_sweep(lower: ChainState, upper: ChainState,
-                           params: ModelParams) -> tuple:
-    """One coupled sweep: both chains consume the same uniform per site and
-    sample by inverse cdf, so pointwise ordering is preserved.
-
-    Preconditions (checked): lower.config <= upper.config pointwise, and the
-    same for boundaries, floors and ceilings. Both chains must be at the same
-    sweep count so they read the same randomness.
-    """
+def _check_coupling(lower: ChainState, upper: ChainState):
+    """The coupling's preconditions: ordered states (check_ordered), and the
+    same seed, sweep count, chain id and scan order, so that both chains read
+    the same uniform at each site in the same order."""
     check_ordered(lower.config, upper.config)
-    if lower.sweep_count != upper.sweep_count or lower.seed != upper.seed:
-        raise OrderingError("coupled chains must share seed and sweep count")
-    L = lower.config.L
-    u = sweep_uniforms(lower.seed, lower.sweep_count, L * L,
-                       chain=lower.chain_id).tolist()
-    order = _site_order(L, "raster", lower.seed, lower.sweep_count, lower.chain_id)
-    glo = _flat_index_grid(lower.config)
-    gup = _flat_index_grid(upper.config)
-    W = L + 2
-    for (x, y) in order:
-        i = (x + 1) * W + (y + 1)
-        uu = u[y * L + x]
-        for grid, cfg in ((glo, lower.config), (gup, upper.config)):
-            nb = (grid[i - W], grid[i + W], grid[i - 1], grid[i + 1])
-            support0, _, cdf, shift = conditional_tables(
-                nb, cfg.floor_at(x, y), cfg.ceiling_at(x, y), params)
-            grid[i] = support0[bisect_right(cdf, uu)] + shift
-    _write_back(lower.config, glo)
-    _write_back(upper.config, gup)
-    lower.sweep_count += 1
-    upper.sweep_count += 1
+    if ((lower.seed, lower.sweep_count, lower.chain_id, lower.scan_order)
+            != (upper.seed, upper.sweep_count, upper.chain_id, upper.scan_order)):
+        raise OrderingError("coupled chains must share seed, sweep count, "
+                            "chain id and scan order")
+
+
+def monotone_coupled_sweep(lower: ChainState, upper: ChainState,
+                           params: ModelParams, n_sweeps=1) -> tuple:
+    """n_sweeps coupled sweeps: run_chain on each chain over the same sweep
+    range. Both chains consume the same uniform per site and sample by
+    inverse CDF, so pointwise ordering is preserved.
+
+    Preconditions (checked, OrderingError): lower.config <= upper.config
+    pointwise, and the same for boundaries, floors and ceilings; equal seed,
+    sweep count, chain id and scan order.
+    """
+    _check_coupling(lower, upper)
+    run_chain(lower, params, n_sweeps)
+    run_chain(upper, params, n_sweeps)
     return lower, upper
 
 
@@ -460,21 +422,13 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
                        chain_id=chain_id)
     snaps = []
     mean_trace = np.empty(sweeps)
-    L2 = L * L
     template = state.config
 
-    def on_sweep(k, grid_or_cfg, interior):
-        if interior is None:
-            heights = grid_or_cfg.heights.copy()
-            mean_trace[k - 1] = heights.mean()
-        else:
-            heights = None
-            mean_trace[k - 1] = sum(grid_or_cfg[i] for i in interior) / L2
+    def on_sweep(k, heights):
+        mean_trace[k - 1] = heights.mean()
         if k > burn_in and (k - burn_in) % thinning == 0:
-            if heights is None:
-                arr = np.asarray(grid_or_cfg, dtype=np.int64).reshape(L + 2, L + 2)
-                heights = arr[1:L + 1, 1:L + 1].astype(np.int32)
-            snaps.append(SurfaceConfig(L, heights, dict(template.boundary),
+            snaps.append(SurfaceConfig(L, heights.astype(np.int32),
+                                       dict(template.boundary),
                                        template.floor, template.ceiling))
 
     run_chain(state, params, sweeps, on_sweep=on_sweep)
@@ -507,10 +461,14 @@ def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
                             ceiling=params.ceiling_spec)
     slo = ChainState(config=lo, seed=seed)
     shi = ChainState(config=hi, seed=seed)
-    gaps = []
-    for _ in range(sweeps):
-        monotone_coupled_sweep(slo, shi, params)
-        gaps.append(float((shi.config.heights - slo.config.heights).mean()))
+    _check_coupling(slo, shi)
+    sums = []
+    for state in (slo, shi):
+        trace = []
+        run_chain(state, params, sweeps,
+                  on_sweep=lambda k, heights: trace.append(int(heights.sum())))
+        sums.append(trace)
+    gaps = [(up - low) / (L * L) for low, up in zip(*sums)]
     return {"gap_trace": np.asarray(gaps), "coalesced_at": _first_zero(gaps)}
 
 
@@ -542,8 +500,7 @@ def cftp_sample(params: ModelParams, L, seed, boundary, max_doublings=20):
         # absolute time -T + s, implemented as sweep index (max_T - T + s).
         offset = (1 << max_doublings) - T
         slo.sweep_count = shi.sweep_count = offset
-        for _ in range(T):
-            monotone_coupled_sweep(slo, shi, params)
+        monotone_coupled_sweep(slo, shi, params, n_sweeps=T)
         if np.array_equal(slo.config.heights, shi.config.heights):
             return slo.config
         T *= 2

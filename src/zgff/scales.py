@@ -42,9 +42,10 @@ class HeightHistogram:
 
 
 def proxy_box_side(L):
-    """Zero-boundary box side used as the infinite-volume proxy; decorrelation
-    of the center from the boundary is exponential in the distance."""
-    return max(64, int(4 * math.log(L) ** 2))
+    """Zero-boundary box side used as the infinite-volume proxy for side
+    length L: 4 log^2 L clamped to [24, 48]. Decorrelation of the centre from
+    the boundary is exponential in the distance."""
+    return min(max(24, int(4 * math.log(L) ** 2)), 48)
 
 
 def estimate_height_prob(params: ModelParams, box_size, samples, seed,
@@ -66,17 +67,12 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
     state = ChainState(config=cfg, seed=seed,
                        scan_order="checkerboard" if box_size >= 16 else "raster")
     d = max(1, box_size // 6)
-    W = box_size + 2
     run_chain(state, run_params, burn_in)
     per_sweep = []
 
-    def on_sweep(t, grid_or_cfg, interior):
+    def on_sweep(t, heights):
         if (t - burn_in) % thinning != 0 or len(per_sweep) >= samples:
             return
-        if interior is None:
-            heights = grid_or_cfg.heights
-        else:
-            heights = np.asarray(grid_or_cfg).reshape(W, W)[1:-1, 1:-1]
         per_sweep.append(np.unique(heights[d:box_size - d, d:box_size - d],
                                    return_counts=True))
 
@@ -248,6 +244,8 @@ def floor_probability_check(params: ModelParams, f_side, h, samples, seed,
     """
     if f_side * f_side > 400:
         raise StructureError("|F| above the stated desk-scale limit of 400")
+    if f_side == 0:
+        return {"lhs": 1.0, "rhs": 1.0, "ratio": 1.0, "status": "ok", "ci": (1.0, 1.0)}
     if box_size is None:
         box_size = max(f_side + 8, 24)
     if hist is None:
@@ -265,23 +263,16 @@ def floor_probability_check(params: ModelParams, f_side, h, samples, seed,
     thinning = 2
     k = 0
 
-    def on_sweep(t, grid_or_cfg, interior):
+    def on_sweep(t, heights):
         nonlocal k
         if t % thinning != 0 or k >= samples:
             return
-        if interior is None:
-            block = grid_or_cfg.heights[lo:lo + f_side, lo:lo + f_side]
-        else:
-            arr = np.asarray(grid_or_cfg, dtype=np.int64).reshape(box_size + 2, box_size + 2)
-            block = arr[lo + 1:lo + 1 + f_side, lo + 1:lo + 1 + f_side]
-        hits[k] = bool((block >= -h).all())
+        hits[k] = bool((heights[lo:lo + f_side, lo:lo + f_side] >= -h).all())
         k += 1
 
     run_chain(state, ModelParams(p=params.p, beta=params.beta),
               samples * thinning, on_sweep=on_sweep)
     lhs = float(hits[:k].mean())
-    if f_side == 0:
-        return {"lhs": 1.0, "rhs": 1.0, "ratio": 1.0, "status": "ok", "ci": (1.0, 1.0)}
     if lhs == 0.0:
         return {"lhs": 0.0, "rhs": rhs, "ratio": 0.0, "status": "too-rare",
                 "ci": (0.0, 0.0)}

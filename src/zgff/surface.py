@@ -256,9 +256,6 @@ class DiscreteDist:
         """Right-continuous inverse cdf; monotone in u and in the law."""
         return self.support[bisect_right(self.cdf, u)]
 
-    def as_arrays(self):
-        return np.asarray(self.support), np.asarray(self.probs)
-
 
 _COND_CACHE = {}
 _COND_CACHE_MAX = 1 << 20

@@ -73,9 +73,6 @@ class TensionTable:
     p: float
     entries: list = field(default_factory=list)
 
-    def theta_grid(self):
-        return [e.theta for e in self.entries]
-
     def tau_of_theta(self, theta):
         """Periodic interpolation of tau (Euclidean normalization) using the
         dihedral symmetry of the lattice."""
@@ -237,11 +234,6 @@ def polygon_area(verts):
     for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
         s += x0 * y1 - x1 * y0
     return 0.5 * abs(s)
-
-
-def polygon_perimeter(verts):
-    return sum(math.hypot(x1 - x0, y1 - y0)
-               for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]))
 
 
 def unit_wulff(verts):

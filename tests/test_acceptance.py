@@ -37,20 +37,16 @@ def _gibbs_2x2_tv(scan_order, seed, sweeps):
     exact = gibbs_2x2_exact(1.0, 2, 0, 2)
     counts = {}
 
-    def on_sweep(k, grid, interior):
-        if interior is None:          # the checkerboard scan passes the config
-            h = grid.heights
-            key = (int(h[0, 0]), int(h[1, 0]), int(h[0, 1]), int(h[1, 1]))
-        else:
-            key = tuple(grid[i] for i in interior)
+    def on_sweep(k, h):
+        key = (int(h[0, 0]), int(h[1, 0]), int(h[0, 1]), int(h[1, 1]))
         counts[key] = counts.get(key, 0) + 1
 
     st = ChainState(config=SurfaceConfig.flat(2, floor=0, ceiling=2), seed=seed,
                     scan_order=scan_order)
     run_chain(st, params, sweeps, on_sweep=on_sweep)
     n = sum(counts.values())
-    # interior flat order is (0,0),(1,0),(0,1),(1,1), as are the oracle keys
-    # (h00,h10,h01,h11); the law is symmetric under swapping h10 and h01
+    # keys are (h00,h10,h01,h11), as are the oracle's; the law is symmetric
+    # under swapping h10 and h01
     return 0.5 * sum(abs(counts.get((s[0], s[2], s[1], s[3]), 0) / n - pr)
                      for s, pr in exact.items())
 

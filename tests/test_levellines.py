@@ -293,3 +293,27 @@ def test_level_crossing_a_split_ring_is_a_structure_error():
         extract_level_lines(cfg, 1)
     with pytest.raises(StructureError):
         top_level_loop(cfg, 1)
+    with pytest.raises(StructureError, match="degree 1"):
+        enclosed_region(cfg, 1)
+    with pytest.raises(StructureError):
+        enclosed_region(SurfaceConfig.flat(4, value=1, boundary=build_boundary(
+            ("split-arc", ("left",)), 4, H=2, n=0)), 2)
+
+
+def test_enclosed_region_is_vertical_bond_parity():
+    # random fields and rings wholly below or wholly at/above each level:
+    # a cell is enclosed iff an odd number of the brute-force vertical bonds
+    # of its row lie at or left of it
+    rng = np.random.default_rng(17)
+    ring0 = build_boundary(("all", 0), 8)
+    for _ in range(200):
+        cfg = SurfaceConfig.flat(8)
+        cfg.heights[:, :] = rng.integers(0, 5, size=(8, 8))
+        for h in range(1, 5):
+            cfg.boundary = {s: int(v) for s, v in zip(
+                ring0, rng.integers(h, h + 3, size=len(ring0)) if rng.random() < 0.5
+                else rng.integers(h - 3, h, size=len(ring0)))}
+            verticals = [(a, b) for a, b, d in disagreement_bond_set(cfg, h) if d == "v"]
+            expected = {(x, b) for x in range(8) for b in range(8)
+                        if sum(1 for a, bb in verticals if bb == b and a <= x) % 2}
+            assert enclosed_region(cfg, h) == expected

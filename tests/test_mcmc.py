@@ -5,20 +5,20 @@ import pytest
 
 from oracles import box_center_marginal_exact, gibbs_2x2_exact
 from zgff.errors import InvalidConstraintError, OrderingError, StructureError
-from zgff.mcmc import (ChainState, cftp_sample, coupled_batch_run,
+from zgff.mcmc import (ChainState, UniformStream, cftp_sample, coupled_batch_run,
                        heat_bath_sweep, load_checkpoint, monotone_coupled_sweep,
                        run_chain, sample_equilibrium, sandwich_diagnostic,
-                       save_checkpoint, sweep_uniforms)
+                       save_checkpoint)
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
                           local_conditional)
 
 
 def test_uniform_stream_deterministic_and_chain_keyed():
-    u1 = sweep_uniforms(9, 17, 8)
-    u2 = sweep_uniforms(9, 17, 8)
+    u1 = UniformStream(9, 8).sweep(17)
+    u2 = UniformStream(9, 8).sweep(17)
     assert np.array_equal(u1, u2)
-    assert not np.array_equal(u1, sweep_uniforms(9, 18, 8))
-    assert not np.array_equal(u1, sweep_uniforms(9, 17, 8, chain=1))
+    assert not np.array_equal(u1, UniformStream(9, 8).sweep(18))
+    assert not np.array_equal(u1, UniformStream(9, 8, chain=1).sweep(17))
 
 
 def test_detailed_balance_of_conditional():
@@ -66,8 +66,9 @@ def test_gibbs_exactness_2x2_short():
     exact = gibbs_2x2_exact(1.0, 2, 0, 2)
     counts = {}
 
-    def on_sweep(k, grid, interior):
-        key = tuple(grid[i] for i in interior)
+    def on_sweep(k, heights):
+        key = (int(heights[0, 0]), int(heights[1, 0]), int(heights[0, 1]),
+               int(heights[1, 1]))
         counts[key] = counts.get(key, 0) + 1
 
     st = ChainState(config=SurfaceConfig.flat(2, floor=0, ceiling=2), seed=7)
@@ -88,10 +89,13 @@ def test_monotone_coupled_sweep_identical_inputs():
 
 def test_monotone_coupled_sweep_precondition():
     params = ModelParams(p=2, beta=1.0)
-    lo = ChainState(config=SurfaceConfig.flat(3, value=1), seed=5)
-    up = ChainState(config=SurfaceConfig.flat(3, value=0), seed=5)
-    with pytest.raises(OrderingError):
-        monotone_coupled_sweep(lo, up, params)
+    # unordered heights, then ordered pairs that would read different uniforms
+    for value, extra in ((0, {}), (1, {"chain_id": 1}),
+                         (1, {"scan_order": "checkerboard"})):
+        lo = ChainState(config=SurfaceConfig.flat(3, value=1), seed=5)
+        up = ChainState(config=SurfaceConfig.flat(3, value=value), seed=5, **extra)
+        with pytest.raises(OrderingError):
+            monotone_coupled_sweep(lo, up, params)
 
 
 def test_conditional_cdf_dominance():
@@ -159,8 +163,9 @@ def test_raising_floor_raises_field():
     lo = ChainState(config=SurfaceConfig.flat(3, value=0, floor=0), seed=77)
     up = ChainState(config=SurfaceConfig.flat(3, value=1, floor=1), seed=77)
     # shared randomness, per-chain conditionals honoring each floor
+    us = UniformStream(77, 9)
     for sweep in range(30):
-        ulist = sweep_uniforms(77, sweep, 9).tolist()
+        ulist = us.sweep(sweep).tolist()
         for (x, y) in [(x, y) for y in range(3) for x in range(3)]:
             for st_, prm in ((lo, params_lo), (up, params_up)):
                 nb = st_.config.neighbor_heights(x, y)
@@ -213,17 +218,6 @@ def test_checkerboard_scan_consistent_with_raster():
     assert z < 3.3
 
 
-def test_random_permutation_scan_runs():
-    params = ModelParams(p=2, beta=1.0)
-    st = ChainState(config=SurfaceConfig.flat(4), seed=8,
-                    scan_order="random-permutation")
-    run_chain(st, params, 50)
-    st2 = ChainState(config=SurfaceConfig.flat(4), seed=8,
-                     scan_order="random-permutation")
-    run_chain(st2, params, 50)
-    assert np.array_equal(st.config.heights, st2.config.heights)
-
-
 def test_sandwich_diagnostic_contracts():
     params = ModelParams(p=2, beta=1.5, floor_spec=0)
     rep = sandwich_diagnostic(params, 4, 300, seed=12,
@@ -268,6 +262,9 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_sweeps_burnin_validation():
     with pytest.raises(StructureError):
         sample_equilibrium(ModelParams(), 4, 10, 10, 1, seed=0)
+    with pytest.raises(StructureError):
+        sample_equilibrium(ModelParams(), 4, 20, 10, 1, seed=0,
+                           scan_order="random-permutation")
 
 
 def _colour_sweep_reference(cfg, params, u):
@@ -320,24 +317,29 @@ def test_checkerboard_kernel_matches_scalar_draws(p, beta):
     for name, cfg in cases.items():
         ref = cfg.copy()
         state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
+        us = UniformStream(seed, L * L)
         for t in range(3):
             run_chain(state, params, 1)
-            _colour_sweep_reference(ref, params, sweep_uniforms(seed, t, L * L))
+            _colour_sweep_reference(ref, params, us.sweep(t))
             assert np.array_equal(cfg.heights, ref.heights), (name, t)
 
 
-def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps):
-    """Scalar raster sweeps of every replica with the shared uniforms."""
+def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps,
+                            start=0):
+    """Scalar raster sweeps start, ..., start + n_sweeps - 1 of every replica
+    with the shared uniforms; a replica's floors or ceilings may be None."""
     B, W, _ = pad.shape
     L = W - 2
-    for t in range(n_sweeps):
-        u = sweep_uniforms(seed, t, L * L)
+    us = UniformStream(seed, L * L)
+    for t in range(start, start + n_sweeps):
+        u = us.sweep(t)
         for g, f, c in zip(pad, floors, ceilings):
             for y in range(L):
                 for x in range(L):
                     nb = (int(g[x, y + 1]), int(g[x + 2, y + 1]),
                           int(g[x + 1, y]), int(g[x + 1, y + 2]))
-                    d = local_conditional(nb, int(f[x, y]), int(c[x, y]), params)
+                    d = local_conditional(nb, None if f is None else int(f[x, y]),
+                                          None if c is None else int(c[x, y]), params)
                     g[x + 1, y + 1] = d.quantile(u[y * L + x])
 
 
@@ -364,6 +366,64 @@ def test_coupled_batch_matches_scalar_raster_draws(p):
     assert np.array_equal(pad_up, ref_up)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_sandwich_and_cftp_match_batch_reference(p):
+    # the coupled pair stacked as a 2-replica batch through the scalar
+    # reference: the same gap trace, coalescence sweep and CFTP state
+    L, seed, sweeps = 3, 8, 25
+    boundary = build_boundary(("all", 0), L)
+    inner = np.s_[1:L + 1, 1:L + 1]
+
+    def pair(low, top):
+        return np.stack([SurfaceConfig.flat(L, value=v, boundary=boundary).padded()
+                         for v in (low, top)])
+
+    for floor, ceiling, high in ((0, None, 4), (0, 3, 5), (-1, 2, 2)):
+        params = ModelParams(p=p, beta=1.0, floor_spec=floor, ceiling_spec=ceiling)
+        floors = [np.full((L, L), floor)] * 2
+        ceilings = [None if ceiling is None else np.full((L, L), ceiling)] * 2
+        rep = sandwich_diagnostic(params, L, sweeps, seed, boundary, high)
+        pad = pair(floor, high if ceiling is None else min(high, ceiling))
+        gaps = []
+        for t in range(sweeps):
+            _raster_batch_reference(pad, floors, ceilings, params, seed, 1, start=t)
+            gaps.append(float((pad[1][inner] - pad[0][inner]).mean()))
+        assert rep["gap_trace"].tolist() == gaps, (floor, ceiling)
+        assert rep["coalesced_at"] == next(
+            (t + 1 for t, g in enumerate(gaps) if g == 0.0), None)
+        if ceiling is None:
+            continue
+        T = 1
+        while True:
+            pad = pair(floor, ceiling)
+            _raster_batch_reference(pad, floors, ceilings, params, seed, T,
+                                    start=(1 << 20) - T)
+            if np.array_equal(pad[0], pad[1]):
+                break
+            T *= 2
+        got = cftp_sample(params, L, seed, boundary)
+        assert np.array_equal(got.heights, pad[0][inner]), (floor, ceiling, T)
+
+
+@pytest.mark.parametrize("scan", ["raster", "checkerboard"])
+def test_on_sweep_heights_equal_config_after_that_many_sweeps(scan):
+    params = ModelParams(p=2, beta=1.0, floor_spec=0)
+    seen = []
+
+    def on_sweep(k, heights):
+        assert heights.shape == (5, 5) and heights.dtype == np.int64
+        seen.append((k, heights.copy()))
+
+    run_chain(ChainState(config=SurfaceConfig.flat(5, value=2, floor=0), seed=3,
+                         scan_order=scan), params, 6, on_sweep=on_sweep)
+    step = ChainState(config=SurfaceConfig.flat(5, value=2, floor=0), seed=3,
+                      scan_order=scan)
+    assert [k for k, _ in seen] == list(range(1, 7))
+    for k, heights in seen:
+        run_chain(step, params, 1)
+        assert np.array_equal(step.config.heights, heights), k
+
+
 def test_kernel_rejects_floor_above_ceiling():
     params = ModelParams(p=2, beta=1.0)
     floor = np.zeros((4, 4), dtype=np.int32)
@@ -384,8 +444,8 @@ def test_checkerboard_centre_marginal_matches_exact_3x3():
     run_chain(state, params, 50)
     counts = {}
 
-    def on_sweep(k, cfg, interior):
-        h = int(cfg.heights[1, 1])
+    def on_sweep(k, heights):
+        h = int(heights[1, 1])
         counts[h] = counts.get(h, 0) + 1
 
     n = 30_000

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import box_center_marginal_exact
+from zgff import scales
 from zgff.errors import InfeasibleError, StructureError
 from zgff.scales import (HeightHistogram, bad_set_log_density, compute_scales,
                          estimate_height_prob, floor_probability_check,
@@ -119,9 +120,10 @@ def test_estimate_box_too_small_raises():
 
 
 def test_proxy_box_side_formula():
-    assert proxy_box_side(10) == 64
-    L = 100000
-    assert proxy_box_side(L) == int(4 * math.log(L) ** 2)
+    # 4 log^2 L clamped to [24, 48]
+    assert proxy_box_side(10) == 24
+    assert proxy_box_side(20) == 35 == int(4 * math.log(20) ** 2)
+    assert proxy_box_side(128) == 48
 
 
 def test_estimate_warnings_on_sparse_heights():
@@ -160,9 +162,17 @@ def test_ld_diagnostics_insufficient():
     assert ld_diagnostics({0: 0.9, 1: 0.1}, p=2)["status"] == "insufficient"
 
 
-def test_floor_probability_empty_region():
+def test_floor_probability_empty_region(monkeypatch):
     rep = floor_probability_check(ModelParams(p=2, beta=2.0), 0, 1, 100, seed=0,
                                   hist=HeightHistogram(2, 2.0, 0, {0: 1.0}, 1))
+    assert rep["lhs"] == rep["rhs"] == rep["ratio"] == 1.0
+
+    # the empty region is answered without running any chain
+    def no_chain(*args, **kwargs):
+        raise AssertionError("run_chain called for an empty region")
+
+    monkeypatch.setattr(scales, "run_chain", no_chain)
+    rep = floor_probability_check(ModelParams(p=2, beta=2.0), 0, 1, 100, seed=0)
     assert rep["lhs"] == rep["rhs"] == rep["ratio"] == 1.0
 
 
