@@ -44,8 +44,6 @@ def build_parser():
         sp.add_argument("--thin", type=int, default=None)
         sp.add_argument("--boundary", default=None, help="e.g. all:0")
         sp.add_argument("--floor", default=None, help="integer or 'none'")
-        sp.add_argument("--extended", action="store_true",
-                        help="allow long observational runs")
     return ap
 
 
@@ -65,8 +63,6 @@ def _load_config(args):
     for (section, key), val in overrides.items():
         if val is not None:
             cfg.set(section, key, val)
-    if args.extended:
-        cfg.set("run", "extended", True)
     return cfg
 
 

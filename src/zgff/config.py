@@ -19,7 +19,7 @@ _DEFAULTS = {
               "ceiling": "none"},
     "lattice": {"L": 64},
     "run": {"sweeps": 2000, "burnin": 200, "thinning": 10, "seed": 1,
-            "levels": 1, "extended": False},
+            "levels": 1},
     "pipeline": {"name": "surface"},
     "rw": {"q": 0.25, "tilt_n": 3000.0, "law": "basic", "kmax": 6,
            "samples": 4000},
@@ -32,7 +32,7 @@ _TYPES = {
     ("model", "p"): float, ("model", "beta"): float,
     ("lattice", "L"): int,
     ("run", "sweeps"): int, ("run", "burnin"): int, ("run", "thinning"): int,
-    ("run", "seed"): int, ("run", "levels"): int, ("run", "extended"): bool,
+    ("run", "seed"): int, ("run", "levels"): int,
     ("rw", "q"): float, ("rw", "tilt_n"): float, ("rw", "kmax"): int,
     ("rw", "samples"): int,
     ("fs", "sigma"): float, ("fs", "dt"): float, ("fs", "steps"): int,
@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown pipeline {name!r}; choose from {PIPELINES}")
         if self.get("run", "sweeps") <= self.get("run", "burnin"):
             raise ConfigError("need sweeps > burnin")
+        for section, key, least in (("lattice", "L", 1), ("run", "thinning", 1),
+                                    ("run", "seed", 0)):
+            if self.get(section, key) < least:
+                raise ConfigError(f"[{section}] {key} must be >= {least}")
         return self
 
     def canonical_text(self, exclude=()):

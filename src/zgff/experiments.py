@@ -68,8 +68,7 @@ def run_surface(cfg, out_dir):
     seed = cfg.get("run", "seed")
     snaps, diag = sample_equilibrium(
         params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-        cfg.get("run", "thinning"), seed,
-        scan_order="checkerboard" if L >= 24 else "raster")
+        cfg.get("run", "thinning"), seed, scan_order="checkerboard")
     artifacts = []
     for i, snap in enumerate(snaps):
         name = f"snapshot_{i:05d}.snap"
@@ -201,8 +200,7 @@ def run_levellines(cfg, out_dir, snapshots=None):
     if snapshots is None:
         snapshots, _ = sample_equilibrium(
             params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-            cfg.get("run", "thinning"), seed,
-            scan_order="checkerboard" if L >= 24 else "raster")
+            cfg.get("run", "thinning"), seed, scan_order="checkerboard")
     records = []
     for idx, snap in enumerate(snapshots):
         hmax = int(snap.heights.max())
@@ -243,8 +241,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
     if snapshots is None:
         snapshots, _ = sample_equilibrium(
             params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-            cfg.get("run", "thinning"), seed,
-            scan_order="checkerboard" if L >= 24 else "raster")
+            cfg.get("run", "thinning"), seed, scan_order="checkerboard")
 
     sigma_source = cfg.get("rw", "law")
     sigmas = {}

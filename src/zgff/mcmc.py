@@ -26,6 +26,10 @@ SCAN_ORDERS = ("raster", "checkerboard")
 
 _BLOCK_TARGET = 1 << 16
 
+# below this many sites per block the kernel's fixed cost per numpy call
+# outweighs its per-site saving, and run_chain takes the scalar sweep
+_SCALAR_SITES = 12
+
 
 class UniformStream:
     """Serves the per-sweep uniform vectors of one chain (see module doc)."""
@@ -63,24 +67,24 @@ class ChainState:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
 
 
-def _sweep_grid(grid, L, config, params, u, order):
-    """One systematic sweep on a flat python grid (padded (L+2)^2, flattened
-    so grid[(x+1)*(L+2) + (y+1)] is site (x, y))."""
-    W = L + 2
-    floor, ceiling = config.floor, config.ceiling
-    f_arr = isinstance(floor, np.ndarray)
-    c_arr = isinstance(ceiling, np.ndarray)
-    simple = floor is None and ceiling is None
-    for (x, y) in order:
-        i = (x + 1) * W + (y + 1)
-        nb = (grid[i - W], grid[i + W], grid[i - 1], grid[i + 1])
-        if simple:
-            lo = hi = None
-        else:
-            lo = (int(floor[x, y]) if f_arr else floor) if floor is not None else None
-            hi = (int(ceiling[x, y]) if c_arr else ceiling) if ceiling is not None else None
-        support0, _, cdf, shift = conditional_tables(nb, lo, hi, params)
-        grid[i] = support0[bisect_right(cdf, u[y * L + x])] + shift
+def _sweep_grid(grid, table, params, u):
+    """One sweep on a flat python grid, site by site, each table entry (index,
+    neighbour indices, uniform index, floor, ceiling) drawn by inverse CDF."""
+    for i, a, b, c, d, k, lo, hi in table:
+        support0, _, cdf, shift = conditional_tables(
+            (grid[a], grid[b], grid[c], grid[d]), lo, hi, params)
+        grid[i] = support0[bisect_right(cdf, u[k])] + shift
+
+
+def _site_table(phases):
+    """The scalar sweep's per-site entries, read from _phases in order."""
+    table = []
+    for sites, neighbours, uidx, lo, hi in phases:
+        bounds = [[b] * len(sites) if b is None or isinstance(b, int)
+                  else b.tolist() for b in (lo, hi)]
+        table += zip(sites.tolist(), *(a.tolist() for a in neighbours),
+                     uidx.tolist(), *bounds)
+    return table
 
 
 def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
@@ -97,6 +101,11 @@ def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
+    A sweep updates the blocks of _blocks(L, scan_order) in turn. Boxes with
+    fewer than _SCALAR_SITES sites per block take the scalar sweep, site by
+    site; larger ones take _Kernel, block by block. Both draw the same
+    heights, so the choice only sets speed.
+
     The chain runs on one padded grid built by config.padded(). on_sweep, if
     given, is called after each sweep as on_sweep(sweep_count, heights), where
     heights is the (L, L) int64 [x, y] interior view of that grid; it stays
@@ -110,18 +119,18 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     padded = cfg.padded()
     flat = padded.reshape(-1)
     heights = padded[1:L + 1, 1:L + 1]
-    raster = state.scan_order == "raster"
-    if raster:
+    phases = _phases(L, _blocks(L, state.scan_order), cfg.floor, cfg.ceiling)
+    scalar = L * L < _SCALAR_SITES * len(phases)
+    if scalar:
         grid = flat.tolist()
-        order = _raster_order(L)
+        table = _site_table(phases)
 
         def sweep(u):
-            _sweep_grid(grid, L, cfg, params, u.tolist(), order)
+            _sweep_grid(grid, table, params, u.tolist())
             if on_sweep is not None:
                 flat[:] = grid
     else:
         kernel = _Kernel(params)
-        phases = _checkerboard_phases(cfg)
 
         def sweep(u):
             _sweep_phases(kernel, flat, phases, u)
@@ -130,14 +139,10 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
         state.sweep_count += 1
         if on_sweep is not None:
             on_sweep(state.sweep_count, heights)
-    if raster:
+    if scalar:
         flat[:] = grid
     cfg.heights[:, :] = heights
     return state
-
-
-def _raster_order(L):
-    return [(x, y) for y in range(L) for x in range(L)]
 
 
 _FILL = 2.0  # pads CDF rows past their support; above every uniform
@@ -241,18 +246,17 @@ class _Kernel:
         """Resample flat[sites] in place, each site from its exact
         conditional given flat at its four neighbour indices.
 
-        sites must be pairwise non-adjacent. u, lo (floors) and hi (ceilings)
-        are scalars or arrays aligned with sites, None meaning unbounded;
-        lo <= hi is the caller's to check (_check_bounds).
+        sites must be pairwise non-adjacent; u is an array aligned with
+        them, lo (floors) and hi (ceilings) scalars or such arrays, None
+        meaning unbounded. lo <= hi is the caller's to check (_phases does).
         """
         a, b, c, d = (flat[n] for n in neighbours)
         if self.params.p == 2:
             base, rows = self._p2_rows(a + b + c + d, lo, hi)
         else:
             base, rows = self._general_rows(np.stack([a, b, c, d]), lo, hi)
-        u = np.asarray(u)
         new = base + self.start[rows]
-        new += (self.cdf[rows] <= (u[:, None] if u.ndim else u)).sum(axis=1)
+        new += (self.cdf[rows] <= u[:, None]).sum(axis=1)
         if lo is not None:
             np.maximum(new, lo, out=new)
         if hi is not None:
@@ -265,43 +269,39 @@ def _block(sites, W):
     return sites, (sites - W, sites + W, sites - 1, sites + 1)
 
 
-def _check_bounds(lo, hi):
-    if lo is not None and hi is not None and np.any(np.asarray(lo) > np.asarray(hi)):
-        raise InvalidConstraintError("floor above ceiling")
-
-
-def _checkerboard_phases(cfg):
-    """The two colour phases of a checkerboard sweep (even x + y first): site
-    and neighbour indices in the flat padded grid, uniform indices y*L + x,
-    and the sites' floors and ceilings. Sites of one colour are conditionally
-    independent given the other, so a phase is a legitimate block of
-    sequential heat-bath updates."""
-    L = cfg.L
-    W = L + 2
+def _blocks(L, scan_order):
+    """The blocks of one sweep in update order, each a pair (xs, ys) of
+    pairwise non-adjacent sites. Checkerboard: the two colours, even x + y
+    first. Raster: the anti-diagonals x + y = d in increasing d; a site's west
+    and south neighbours lie on diagonal d - 1 and its east and north ones on
+    d + 1, so updating the diagonals in turn reads what row-major order reads.
+    """
+    if scan_order == "raster":
+        diagonals = [np.arange(max(0, d - L + 1), min(d, L - 1) + 1)
+                     for d in range(2 * L - 1)]
+        return [(xs, d - xs) for d, xs in enumerate(diagonals)]
     xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    phases = []
-    for colour in (0, 1):
-        sel = (xs + ys) % 2 == colour
-        sx, sy = xs[sel], ys[sel]
-        lo, hi = [b if b is None else (b[sx, sy] if isinstance(b, np.ndarray) else int(b))
-                  for b in (cfg.floor, cfg.ceiling)]
-        _check_bounds(lo, hi)
-        phases.append((*_block((sx + 1) * W + (sy + 1), W), sy * L + sx, lo, hi))
-    return phases
+    colour = (xs + ys) % 2
+    return [(xs[colour == c], ys[colour == c]) for c in range(min(2, L * L))]
 
 
-def _batch_phases(B, L, floors, ceilings):
-    """A raster sweep across B replicas, one phase per site (x, y): its index
-    in each of B padded (L+2)^2 grids laid back to back, its uniform index
-    y*L + x, and the replicas' floors and ceilings there ((B, L, L) arrays
-    or None)."""
-    _check_bounds(floors, ceilings)
+def _phases(L, blocks, floors, ceilings, B=1):
+    """Per block: its sites and their four neighbour indices in each of B
+    padded (L+2)^2 grids laid back to back, the sites' uniform indices
+    y*L + x, and their floors and ceilings (None, an int, or taken from an
+    (L, L) or (B, L, L) array)."""
+    if (floors is not None and ceilings is not None
+            and np.any(np.asarray(floors) > np.asarray(ceilings))):
+        raise InvalidConstraintError("floor above ceiling")
     W = L + 2
-    offsets = np.arange(B) * (W * W)
-    return [(*_block(offsets + (x + 1) * W + (y + 1), W), y * L + x,
-             None if floors is None else floors[:, x, y],
-             None if ceilings is None else ceilings[:, x, y])
-            for y in range(L) for x in range(L)]
+    offsets = np.arange(B)[:, None] * (W * W)
+    phases = []
+    for xs, ys in blocks:
+        sites = (offsets + (xs + 1) * W + (ys + 1)).ravel()
+        lo, hi = [b if b is None else int(b) if np.ndim(b) == 0
+                  else b[..., xs, ys].ravel() for b in (floors, ceilings)]
+        phases.append((*_block(sites, W), np.tile(ys * L + xs, B), lo, hi))
+    return phases
 
 
 def _sweep_phases(kernel, flat, phases, u):
@@ -371,7 +371,8 @@ def monotone_coupled_sweep(lower: ChainState, upper: ChainState,
 def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
                       floors_lo=None, floors_up=None,
                       ceilings_lo=None, ceilings_up=None):
-    """Run n_sweeps of the shared-uniform coupling on a batch of ordered pairs.
+    """Run n_sweeps of the shared-uniform coupling on a batch of ordered pairs:
+    raster sweeps, each raster block updated across all replicas at once.
 
     pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included).
     Returns the number of (pair, site) order violations seen after any sweep
@@ -381,8 +382,9 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     L = W - 2
     kernel = _Kernel(params)
     flat_lo, flat_up = pad_lo.reshape(-1), pad_up.reshape(-1)
-    phases_lo = _batch_phases(B, L, floors_lo, ceilings_lo)
-    phases_up = _batch_phases(B, L, floors_up, ceilings_up)
+    blocks = _blocks(L, "raster")
+    phases_lo = _phases(L, blocks, floors_lo, ceilings_lo, B)
+    phases_up = _phases(L, blocks, floors_up, ceilings_up, B)
     us = UniformStream(seed, L * L)
     violations = 0
     for t in range(n_sweeps):
@@ -406,8 +408,8 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     Returns (snapshots, diagnostics) where diagnostics carries the mean-height
     trace and an autocorrelation estimate of it.
     """
-    if not sweeps > burn_in >= 0:
-        raise StructureError("need sweeps > burn_in >= 0")
+    if not (sweeps > burn_in >= 0 and thinning >= 1):
+        raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
     if boundary is None:
         from .surface import build_boundary
         boundary = build_boundary(params.boundary_spec, L)
@@ -447,8 +449,9 @@ def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
                         high_value):
     """Burn-in validation by a monotone sandwich.
 
-    Couples a chain started at the floor (or the boundary minimum) with one
-    started at high_value; reports the per-sweep mean gap. Agreement of the
+    Couples a chain started flat at the floor when the floor is an integer
+    (at 0 otherwise) with one started flat at high_value, capped at the
+    lowest ceiling; reports the per-sweep mean gap. Agreement of the
     two ends bounds the distance to equilibrium for monotone observables.
     """
     floor = params.floor_spec

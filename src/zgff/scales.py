@@ -64,8 +64,7 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
     run_params = ModelParams(p=params.p, beta=params.beta)
     boundary = build_boundary(("all", 0), box_size)
     cfg = SurfaceConfig.flat(box_size, boundary=boundary)
-    state = ChainState(config=cfg, seed=seed,
-                       scan_order="checkerboard" if box_size >= 16 else "raster")
+    state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
     d = max(1, box_size // 6)
     run_chain(state, run_params, burn_in)
     per_sweep = []
@@ -255,8 +254,7 @@ def floor_probability_check(params: ModelParams, f_side, h, samples, seed,
 
     boundary = build_boundary(("all", 0), box_size)
     cfg = SurfaceConfig.flat(box_size, boundary=boundary)
-    state = ChainState(config=cfg, seed=seed,
-                       scan_order="checkerboard" if box_size >= 16 else "raster")
+    state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
     run_chain(state, ModelParams(p=params.p, beta=params.beta), max(50, box_size))
     lo = (box_size - f_side) // 2
     hits = np.zeros(samples, dtype=bool)

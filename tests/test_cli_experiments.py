@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from zgff.cli import main
-from zgff.config import ExperimentConfig
+from zgff.config import ExperimentConfig, model_params_from
 from zgff.errors import InfeasibleError
 from zgff.experiments import (height_fluctuation_exponent, run_end_to_end,
                               run_pipeline)
+from zgff.mcmc import sample_equilibrium
 from zgff.scales import ScaleTable
-from zgff.surface import SurfaceConfig
+from zgff.surface import SurfaceConfig, read_snapshot
 
 
 def _plateau_snapshots(L, n, lo=2, hi=None):
@@ -138,6 +139,22 @@ def test_surface_pipeline_artifacts(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_surface_pipeline_runs_checkerboard_chain_at_small_L(tmp_path):
+    cfg = ExperimentConfig.default(**{
+        "pipeline.name": "surface", "model.beta": 0.5, "lattice.L": 8,
+        "run.sweeps": 60, "run.burnin": 20, "run.thinning": 10,
+        "out.dir": str(tmp_path)})
+    run_pipeline(cfg)
+    snaps, _ = sample_equilibrium(model_params_from(cfg), 8, 60, 20, 10,
+                                  seed=cfg.get("run", "seed"),
+                                  scan_order="checkerboard")
+    assert len(snaps) == 4
+    for i, snap in enumerate(snaps):
+        written, _ = read_snapshot(tmp_path / f"snapshot_{i:05d}.snap",
+                                   boundary=snap.boundary)
+        assert np.array_equal(written.heights, snap.heights), i
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[pipeline]\nname = bogus\n")
@@ -150,6 +167,14 @@ def test_cli_exit_codes(tmp_path):
     # sweeps <= burnin -> config error
     assert main(["simulate", "--out", str(tmp_path / "x"), "--sweeps", "5",
                  "--burnin", "9"]) == 2
+
+    # run parameters out of range -> config error, before any run starts
+    for argv in (["simulate", "--thin", "0", "--sweeps", "5", "--burnin", "1"],
+                 ["simulate", "--thin", "-1", "--sweeps", "5", "--burnin", "1"],
+                 ["scales", "--L", "0"], ["simulate", "--L", "-3"],
+                 ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"]):
+        assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
+    assert not (tmp_path / "y").exists()
 
 
 def test_cli_rw_resource_limit(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import box_center_marginal_exact, gibbs_2x2_exact
+from zgff import mcmc
 from zgff.errors import InvalidConstraintError, OrderingError, StructureError
 from zgff.mcmc import (ChainState, UniformStream, cftp_sample, coupled_batch_run,
                        heat_bath_sweep, load_checkpoint, monotone_coupled_sweep,
@@ -265,20 +266,23 @@ def test_sweeps_burnin_validation():
     with pytest.raises(StructureError):
         sample_equilibrium(ModelParams(), 4, 20, 10, 1, seed=0,
                            scan_order="random-permutation")
+    for thinning in (0, -1):
+        with pytest.raises(StructureError):
+            sample_equilibrium(ModelParams(), 4, 5, 1, thinning, seed=0)
 
 
-def _colour_sweep_reference(cfg, params, u):
-    """Scalar checkerboard sweep: every site of the even colour, then every
-    site of the odd one, drawn by local_conditional(...).quantile(u)."""
+def _reference_sweep(cfg, params, u, scan):
+    """Scalar sweep drawn by local_conditional(...).quantile(u): row-major for
+    raster; for checkerboard, every site of the even colour, then every site
+    of the odd one."""
     L = cfg.L
-    for colour in (0, 1):
-        for x in range(L):
-            for y in range(L):
-                if (x + y) % 2 == colour:
-                    d = local_conditional(cfg.neighbor_heights(x, y),
-                                          cfg.floor_at(x, y),
-                                          cfg.ceiling_at(x, y), params)
-                    cfg.heights[x, y] = d.quantile(u[y * L + x])
+    order = [(x, y) for y in range(L) for x in range(L)]
+    if scan == "checkerboard":
+        order.sort(key=lambda s: (s[0] + s[1]) % 2)
+    for x, y in order:
+        d = local_conditional(cfg.neighbor_heights(x, y), cfg.floor_at(x, y),
+                              cfg.ceiling_at(x, y), params)
+        cfg.heights[x, y] = d.quantile(u[y * L + x])
 
 
 def _kernel_cases(rng, L):
@@ -310,18 +314,47 @@ def _kernel_cases(rng, L):
 
 @pytest.mark.parametrize("beta", [0.8, 2.5])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_checkerboard_kernel_matches_scalar_draws(p, beta):
+def test_checkerboard_kernel_matches_scalar_draws(p, beta, monkeypatch):
+    # both scans on both engines: _SCALAR_SITES = 0 forces the kernel, and
+    # 10**9 (above every box's sites per block) the scalar sweep
     params = ModelParams(p=p, beta=beta)
     L, seed = 12, 31
-    cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
-    for name, cfg in cases.items():
-        ref = cfg.copy()
-        state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
-        us = UniformStream(seed, L * L)
-        for t in range(3):
-            run_chain(state, params, 1)
-            _colour_sweep_reference(ref, params, us.sweep(t))
-            assert np.array_equal(cfg.heights, ref.heights), (name, t)
+    for scan in ("raster", "checkerboard"):
+        for scalar_sites in (0, 10 ** 9):
+            monkeypatch.setattr(mcmc, "_SCALAR_SITES", scalar_sites)
+            cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
+            for name, cfg in cases.items():
+                ref = cfg.copy()
+                state = ChainState(config=cfg, seed=seed, scan_order=scan)
+                us = UniformStream(seed, L * L)
+                for t in range(3):
+                    run_chain(state, params, 1)
+                    _reference_sweep(ref, params, us.sweep(t), scan)
+                    assert np.array_equal(cfg.heights, ref.heights), (
+                        name, scan, scalar_sites, t)
+
+
+@pytest.mark.parametrize("L", range(1, 10))
+def test_blocks_partition_the_box_into_independent_sets(L):
+    for scan in ("raster", "checkerboard"):
+        blocks = [list(zip(xs.tolist(), ys.tolist()))
+                  for xs, ys in mcmc._blocks(L, scan)]
+        sites = [s for block in blocks for s in block]
+        assert sorted(sites) == [(x, y) for x in range(L) for y in range(L)]
+        if scan == "checkerboard":
+            # the two colours, even x + y first
+            assert len(blocks) == min(2, L * L)
+            assert all((x + y) % 2 == i for i, b in enumerate(blocks) for x, y in b)
+        block_of = {s: i for i, block in enumerate(blocks) for s in block}
+        for (x, y), i in block_of.items():
+            for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                j = block_of.get((x + dx, y + dy))
+                if j is None:
+                    continue
+                assert j != i, (scan, x, y)
+                if scan == "raster":
+                    # west and south neighbours earlier, east and north later
+                    assert (j < i) == (dx + dy < 0), (x, y, dx, dy)
 
 
 def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps,

@@ -102,6 +102,10 @@ def test_config_validation_errors():
     cfg.set("run", "burnin", 10**9)
     with pytest.raises(ConfigError):
         cfg.validate()
+    for key, value in (("lattice.L", 0), ("lattice.L", -3), ("run.thinning", 0),
+                       ("run.thinning", -1), ("run.seed", -1)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.default(**{key: value}).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.default().get("model", "no-such-key")
 
