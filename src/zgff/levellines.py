@@ -310,17 +310,26 @@ def profile(loop: LevelLoop, n, N_n, L, K=1.0):
     rho_bar = np.full(xs.shape, np.nan)
     covered = np.zeros(xs.shape, dtype=bool)
     half = L / 2.0
-    for j, x in enumerate(xs):
-        c = center + int(x)
-        if c < 0 or c > L:
-            continue
-        ys = loop.column_hits(c)
+    # column_hits of every window column inside [0, L], in one pass over the
+    # bonds
+    hits = {c: set() for c in range(max(0, center - W), min(L, center + W) + 1)}
+    for a, b, d in loop.bonds:
+        if d == "v":
+            if a in hits:
+                hits[a].update((b, b + 1))
+        else:
+            if a in hits:
+                hits[a].add(b)
+            if a + 1 in hits:
+                hits[a + 1].add(b)
+    for c, ys in hits.items():
         if not ys:
             continue
+        j = c - center + W
         covered[j] = True
-        rho[j] = ys[0]
+        rho[j] = min(ys)
         below = [y for y in ys if y <= half]
-        rho_bar[j] = below[-1] if below else np.nan
+        rho_bar[j] = max(below) if below else np.nan
     if not covered.any():
         raise CoverageError("loop misses the entire measurement interval")
     return LevelProfile(n=n, half_width=W, columns=xs, rho=rho, rho_bar=rho_bar,

@@ -110,9 +110,11 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     given, is called after each sweep as on_sweep(sweep_count, heights), where
     heights is the (L, L) int64 [x, y] interior view of that grid; it stays
     valid until the next sweep. config.heights is written back once, at the
-    end. This is the engine behind heat_bath_sweep, sample_equilibrium and
-    the monotone coupling.
+    end. n_sweeps < 0 raises StructureError. This is the engine behind
+    heat_bath_sweep, sample_equilibrium and the monotone coupling.
     """
+    if n_sweeps < 0:
+        raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
     cfg = state.config
     L = cfg.L
     us = UniformStream(state.seed, L * L, chain=state.chain_id)
@@ -152,9 +154,15 @@ class _Kernel:
     """Table-lookup heat bath for one (p, beta).
 
     Every site's conditional law is a CDF row of conditional_tables, found by
-    a small integer key and built the first time the key occurs. A site with
-    row base + row draws base + start + #{i : cdf[i] <= u}, the first support
-    point whose CDF entry exceeds u, as the scalar quantile does.
+    a small integer key and built the first time the key occurs. Rows are
+    padded with _FILL to one power-of-two width. A site with row base + row
+    draws base + start + #{i : cdf[i] <= u}, the first support point whose
+    CDF entry exceeds u, as the scalar quantile (bisect_right) does. The
+    count is found by a binary search: conditional_tables builds cdf as
+    running sums of non-negative terms and sets cdf[-1] = 1.0, so for u in
+    [0, 1) the predicate cdf[i] <= u holds on a prefix of the row and fails
+    on the rest, padding included (even where rounding left cdf[-2] above
+    1.0), and halving steps over that prefix count it exactly.
 
     For p = 2, sum_i (k - n_i)^2 = 4 (k - S/4)^2 + const with S the neighbour
     sum, so k - S//4 has the law of a site with neighbours (0, 0, 0, S % 4)
@@ -199,7 +207,8 @@ class _Kernel:
                 self.start = np.resize(self.start, 2 * row)
                 self.cdf = np.vstack([self.cdf, np.full_like(self.cdf, _FILL)])
             if len(cdf) > self.cdf.shape[1]:
-                pad = np.full((len(self.cdf), len(cdf) - self.cdf.shape[1]), _FILL)
+                width = 1 << (len(cdf) - 1).bit_length()
+                pad = np.full((len(self.cdf), width - self.cdf.shape[1]), _FILL)
                 self.cdf = np.hstack([self.cdf, pad])
             self.start[row] = support0[0] + shift
             self.cdf[row, :len(cdf)] = cdf
@@ -255,8 +264,15 @@ class _Kernel:
             base, rows = self._p2_rows(a + b + c + d, lo, hi)
         else:
             base, rows = self._general_rows(np.stack([a, b, c, d]), lo, hi)
-        new = base + self.start[rows]
-        new += (self.cdf[rows] <= u[:, None]).sum(axis=1)
+        width = self.cdf.shape[1]
+        flat_cdf = self.cdf.reshape(-1)
+        pos = rows * width
+        new = base + self.start[rows] - pos
+        step = width >> 1
+        while step:
+            pos += step * (flat_cdf[pos + (step - 1)] <= u)
+            step >>= 1
+        new += pos
         if lo is not None:
             np.maximum(new, lo, out=new)
         if hi is not None:
@@ -280,9 +296,13 @@ def _blocks(L, scan_order):
         diagonals = [np.arange(max(0, d - L + 1), min(d, L - 1) + 1)
                      for d in range(2 * L - 1)]
         return [(xs, d - xs) for d, xs in enumerate(diagonals)]
-    xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    colour = (xs + ys) % 2
-    return [(xs[colour == c], ys[colour == c]) for c in range(min(2, L * L))]
+    # colour c holds y = (x + c) % 2, + 2, ... of each row x, in (x, y) order
+    blocks = []
+    for c in range(min(2, L * L)):
+        rows = [np.arange((x + c) % 2, L, 2) for x in range(L)]
+        blocks.append((np.repeat(np.arange(L), [len(r) for r in rows]),
+                       np.concatenate(rows)))
+    return blocks
 
 
 def _phases(L, blocks, floors, ceilings, B=1):

@@ -61,6 +61,8 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
                              "site to decorrelate from the boundary")
     if burn_in is None:
         burn_in = max(50, box_size)
+    if samples < 1 or thinning < 1 or burn_in < 0:
+        raise StructureError("need samples >= 1, thinning >= 1 and burn_in >= 0")
     run_params = ModelParams(p=params.p, beta=params.beta)
     boundary = build_boundary(("all", 0), box_size)
     cfg = SurfaceConfig.flat(box_size, boundary=boundary)

@@ -277,6 +277,46 @@ def test_top_level_loop_fallbacks(monkeypatch):
     assert calls == [1, 1, 1]
 
 
+def _profile_reference(loop, N_n, L):
+    """profile's rho, rho_bar and covered, read column by column through
+    column_hits; columns outside [0, L] stay flagged."""
+    W = int(math.ceil(N_n ** (2.0 / 3.0)))
+    rho, rho_bar, covered = [], [], []
+    for x in range(-W, W + 1):
+        c = L // 2 + x
+        ys = loop.column_hits(c) if 0 <= c <= L else []
+        below = [y for y in ys if y <= L / 2.0]
+        covered.append(bool(ys))
+        rho.append(ys[0] if ys else np.nan)
+        rho_bar.append(below[-1] if below else np.nan)
+    return np.array(rho), np.array(rho_bar), np.array(covered)
+
+
+def test_profile_matches_per_column_hits():
+    # sampled plateau loops at every level, and the notched rectangle; the
+    # larger N_n put window columns outside [0, L]
+    loops = [(lp, 64) for snap in _sampled_plateau(64, 7)
+             for h in (1, 2) for lp in extract_level_lines(snap, h)]
+    notched = _rect_loop(2, 14, 3, 13)
+    notched.bonds = [b for b in notched.bonds if b != (8, 3, "h")]
+    notched.bonds += [(8, 3, "v"), (8, 4, "h"), (9, 3, "v")]
+    loops.append((notched, 16))
+    checked = 0
+    for loop, L in loops:
+        for N_n in (1.0, 8.0, 50.0, 600.0):
+            rho, rho_bar, covered = _profile_reference(loop, N_n, L)
+            if not covered.any():
+                with pytest.raises(CoverageError):
+                    profile(loop, 0, N_n, L)
+                continue
+            prof = profile(loop, 0, N_n, L)
+            assert np.array_equal(prof.covered, covered)
+            assert np.array_equal(prof.rho, rho, equal_nan=True)
+            assert np.array_equal(prof.rho_bar, rho_bar, equal_nan=True)
+            checked += 1
+    assert checked > 20
+
+
 def test_top_level_loop_none_without_macroscopic_loop():
     assert top_level_loop(SurfaceConfig.flat(16), 1) is None
     cfg = SurfaceConfig.flat(16)

@@ -269,6 +269,11 @@ def test_sweeps_burnin_validation():
     for thinning in (0, -1):
         with pytest.raises(StructureError):
             sample_equilibrium(ModelParams(), 4, 5, 1, thinning, seed=0)
+    state = ChainState(config=SurfaceConfig.flat(4), seed=0)
+    with pytest.raises(StructureError):
+        run_chain(state, ModelParams(), -3)
+    run_chain(state, ModelParams(), 0)  # zero sweeps stay legal
+    assert state.sweep_count == 0
 
 
 def _reference_sweep(cfg, params, u, scan):
@@ -342,9 +347,15 @@ def test_blocks_partition_the_box_into_independent_sets(L):
         sites = [s for block in blocks for s in block]
         assert sorted(sites) == [(x, y) for x in range(L) for y in range(L)]
         if scan == "checkerboard":
-            # the two colours, even x + y first
+            # the two colours, even x + y first, each in (x, y) order: the
+            # masks of an ij meshgrid, array for array
             assert len(blocks) == min(2, L * L)
             assert all((x + y) % 2 == i for i, b in enumerate(blocks) for x, y in b)
+            xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
+            for c, (bx, by) in enumerate(mcmc._blocks(L, scan)):
+                colour = (xs + ys) % 2 == c
+                assert np.array_equal(bx, xs[colour])
+                assert np.array_equal(by, ys[colour])
         block_of = {s: i for i, block in enumerate(blocks) for s in block}
         for (x, y), i in block_of.items():
             for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
@@ -514,3 +525,33 @@ def test_kernel_quantiles_match_scalar_on_a_uniform_grid(p, beta):
         kernel.update(flat, sites, neighbours, u, lo, hi)
         d = local_conditional(nb, lo, hi, params)
         assert flat[sites].tolist() == [d.quantile(x) for x in u], (nb, lo, hi)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_kernel_table_widens_mid_run(p):
+    # rows wider than the whole table arrive after narrow ones, so the table
+    # grows to the next power of two between updates; the first key, drawn
+    # again last, reads its row from the widened table
+    from zgff.mcmc import _Kernel, _block
+    params = ModelParams(p=p, beta=0.3)
+    kernel = _Kernel(params)
+    B, W = 1000, 3
+    u = (np.arange(B) + 2 ** -0.5) / B
+    sites, neighbours = _block(np.arange(B) * W * W + W + 1, W)
+    cases = [((0, 0, 0, 0), 0, 1), ((0, 0, 0, 1), None, None),
+             ((0, 0, 40, 40), None, None), ((0, 0, 0, 0), 0, 1)]
+    widths = []
+    for nb, lo, hi in cases:
+        d = local_conditional(nb, lo, hi, params)
+        widths.append((kernel.cdf.shape[1], len(d.probs)))
+        flat = np.zeros(B * W * W, dtype=np.int64)
+        for n, v in zip(neighbours, nb):
+            flat[n] = v
+        kernel.update(flat, sites, neighbours, u, lo, hi)
+        assert flat[sites].tolist() == [d.quantile(x) for x in u], (nb, lo, hi)
+        width = kernel.cdf.shape[1]
+        assert width & (width - 1) == 0
+    # the second row is wider than the table before it, and so for p != 2 is
+    # the third (p = 2 keys that one as the unbounded row of (0, 0, 0, 0))
+    assert widths[1][1] > widths[1][0] > 1
+    assert p == 2 or widths[2][1] > widths[2][0]

@@ -119,6 +119,17 @@ def test_estimate_box_too_small_raises():
         estimate_height_prob(ModelParams(), 8, 100, seed=0)
 
 
+def test_estimate_rejects_starved_runs():
+    # no sampled sweep, or a negative burn-in, is an error, not an empty
+    # histogram
+    params = ModelParams(p=2.0, beta=0.8)
+    for samples, thinning, burn_in in ((5, 0, None), (5, -1, None),
+                                       (0, 1, None), (5, 1, -5)):
+        with pytest.raises(StructureError):
+            estimate_height_prob(params, 24, samples, 1, thinning=thinning,
+                                 burn_in=burn_in)
+
+
 def test_proxy_box_side_formula():
     # 4 log^2 L clamped to [24, 48]
     assert proxy_box_side(10) == 24

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from zgff.errors import ConfigError, InvalidConstraintError, StructureError
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
-                          corner_sites, energy, local_conditional,
+                          conditional_tables, corner_sites, energy,
+                          local_conditional,
                           read_snapshot, ring_sites, write_snapshot)
 
 
@@ -104,6 +105,22 @@ def test_conditional_translation_covariance(seed, c):
     d1 = local_conditional(tuple(v + c for v in nb), lo + c, hi + c, params)
     assert [s + c for s in d0.support] == d1.support
     assert np.allclose(d0.probs, d1.probs, atol=1e-14)
+
+
+@given(st.sampled_from([1.0, 1.5, 2.0]), st.floats(0.3, 2.5),
+       st.lists(st.integers(0, 1000), min_size=3, max_size=3),
+       st.none() | st.integers(-1000, 2000), st.none() | st.integers(0, 2000))
+@settings(max_examples=150, deadline=None)
+def test_conditional_cdf_rises_to_one(p, beta, gaps, floor, width):
+    # the table kernel's binary search needs cdf[:-1] non-decreasing and
+    # cdf[-1] == 1.0: then cdf[i] <= u holds on a prefix of the row for
+    # every u in [0, 1)
+    ceiling = None if width is None else (floor or 0) + width
+    neighbours = (0, *gaps)
+    _, _, cdf, _ = conditional_tables(neighbours, floor, ceiling,
+                                      ModelParams(p=p, beta=beta))
+    assert cdf[-1] == 1.0
+    assert all(x <= y for x, y in zip(cdf[:-2], cdf[1:-1]))
 
 
 def test_conditional_bounds_and_errors():
