@@ -2,7 +2,7 @@
 tension | endtoend, each driven by a config file with optional overrides.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible/degenerate/unordered coupling,
-4 resource limit.
+4 resource limit, 5 the compiled sweep routine could not be built.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import ExperimentConfig
-from .errors import (ConfigError, CoverageError, DegenerateInputError,
+from .errors import (BuildError, ConfigError, CoverageError, DegenerateInputError,
                      InfeasibleError, InvalidConstraintError, OrderingError,
                      ResourceLimitError, StructureError)
 
@@ -83,6 +83,9 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 4
+    except BuildError as e:
+        print(f"build error: {e}", file=sys.stderr)
+        return 5
     print(json.dumps({"config_hash": manifest.config_hash,
                       "pipeline": manifest.pipeline,
                       "out": cfg.get("out", "dir"),

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ConfigError and StructureError -> 2;
 InfeasibleError, InvalidConstraintError, DegenerateInputError, CoverageError
-and OrderingError -> 3; ResourceLimitError -> 4.
+and OrderingError -> 3; ResourceLimitError -> 4; BuildError -> 5.
 """
 
 
@@ -40,3 +40,8 @@ class CoverageError(ZgffError):
 
 class ResourceLimitError(ZgffError):
     """Stated enumeration or simulation budget exceeded."""
+
+
+class BuildError(ZgffError):
+    """The compiled sweep routine could not be built (no or a failing C
+    compiler)."""

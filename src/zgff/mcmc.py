@@ -13,12 +13,15 @@ an ordered pair over the same sweeps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import hashlib
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConstraintError, OrderingError, StructureError
+from .errors import (BuildError, InvalidConstraintError, OrderingError,
+                     StructureError)
 from .surface import (ModelParams, SurfaceConfig, conditional_tables,
                       write_snapshot, read_snapshot)
 
@@ -26,13 +29,16 @@ SCAN_ORDERS = ("raster", "checkerboard")
 
 _BLOCK_TARGET = 1 << 16
 
-# below this many sites per block the kernel's fixed cost per numpy call
-# outweighs its per-site saving, and run_chain takes the scalar sweep
-_SCALAR_SITES = 12
-
 
 class UniformStream:
-    """Serves the per-sweep uniform vectors of one chain (see module doc)."""
+    """Serves the per-sweep uniform vectors of one chain (see module doc).
+
+    Streams of one key and length share the last block any of them loaded
+    (if it holds at most _BLOCK_TARGET uniforms), so chains that replay the
+    same sweeps, as CFTP's do, generate it once.
+    """
+
+    _last = (None, None)   # ((key, n, block id), block)
 
     def __init__(self, seed, n_per_sweep, chain=0):
         self.key = np.array([seed % (1 << 64), chain % (1 << 64)], dtype=np.uint64)
@@ -40,6 +46,7 @@ class UniformStream:
         self.block_sweeps = max(1, _BLOCK_TARGET // max(1, n_per_sweep))
         self._block_id = -1
         self._block = None
+        self._address = 0
 
     def _load(self, g):
         counter = np.array([0, 0, 0, g % (1 << 64)], dtype=np.uint64)
@@ -47,11 +54,29 @@ class UniformStream:
         self._block = gen.random(self.block_sweeps * self.n)
         self._block_id = g
 
-    def sweep(self, t):
+    def _offset(self, t):
+        """Loads the block of sweep t; returns t's index in it."""
         g, r = divmod(t, self.block_sweeps)
         if g != self._block_id:
-            self._load(g)
-        return self._block[r * self.n:(r + 1) * self.n]
+            tag = (*self.key.tolist(), self.n, g)
+            last_tag, block = UniformStream._last
+            if tag == last_tag:
+                self._block, self._block_id = block, g
+            else:
+                self._load(g)
+                if self._block.size <= _BLOCK_TARGET:
+                    UniformStream._last = (tag, self._block)
+            self._address = self._block.ctypes.data
+        return r * self.n
+
+    def sweep(self, t):
+        r = self._offset(t)
+        return self._block[r:r + self.n]
+
+    def address(self, t):
+        """Memory address of sweep t's uniforms, for the compiled sweep."""
+        r = self._offset(t)
+        return self._address + 8 * r
 
 
 @dataclass
@@ -65,26 +90,6 @@ class ChainState:
     def __post_init__(self):
         if self.scan_order not in SCAN_ORDERS:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
-
-
-def _sweep_grid(grid, table, params, u):
-    """One sweep on a flat python grid, site by site, each table entry (index,
-    neighbour indices, uniform index, floor, ceiling) drawn by inverse CDF."""
-    for i, a, b, c, d, k, lo, hi in table:
-        support0, _, cdf, shift = conditional_tables(
-            (grid[a], grid[b], grid[c], grid[d]), lo, hi, params)
-        grid[i] = support0[bisect_right(cdf, u[k])] + shift
-
-
-def _site_table(phases):
-    """The scalar sweep's per-site entries, read from _phases in order."""
-    table = []
-    for sites, neighbours, uidx, lo, hi in phases:
-        bounds = [[b] * len(sites) if b is None or isinstance(b, int)
-                  else b.tolist() for b in (lo, hi)]
-        table += zip(sites.tolist(), *(a.tolist() for a in neighbours),
-                     uidx.tolist(), *bounds)
-    return table
 
 
 def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
@@ -101,17 +106,18 @@ def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
-    A sweep updates the blocks of _blocks(L, scan_order) in turn. Boxes with
-    fewer than _SCALAR_SITES sites per block take the scalar sweep, site by
-    site; larger ones take _Kernel, block by block. Both draw the same
-    heights, so the choice only sets speed.
+    A sweep updates the sites of _blocks(L, scan_order), block after block,
+    in one call of the compiled routine (_Sweep), each site drawn from its
+    exact conditional by the kernel of (p, beta).
 
     The chain runs on one padded grid built by config.padded(). on_sweep, if
     given, is called after each sweep as on_sweep(sweep_count, heights), where
     heights is the (L, L) int64 [x, y] interior view of that grid; it stays
     valid until the next sweep. config.heights is written back once, at the
-    end. n_sweeps < 0 raises StructureError. This is the engine behind
-    heat_bath_sweep, sample_equilibrium and the monotone coupling.
+    end. n_sweeps < 0 raises StructureError, and a C compiler that is
+    missing or fails on first use BuildError (see _build). This is the
+    engine behind heat_bath_sweep, sample_equilibrium and the monotone
+    coupling.
     """
     if n_sweeps < 0:
         raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
@@ -119,39 +125,87 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     L = cfg.L
     us = UniformStream(state.seed, L * L, chain=state.chain_id)
     padded = cfg.padded()
-    flat = padded.reshape(-1)
     heights = padded[1:L + 1, 1:L + 1]
-    phases = _phases(L, _blocks(L, state.scan_order), cfg.floor, cfg.ceiling)
-    scalar = L * L < _SCALAR_SITES * len(phases)
-    if scalar:
-        grid = flat.tolist()
-        table = _site_table(phases)
-
-        def sweep(u):
-            _sweep_grid(grid, table, params, u.tolist())
-            if on_sweep is not None:
-                flat[:] = grid
-    else:
-        kernel = _Kernel(params)
-
-        def sweep(u):
-            _sweep_phases(kernel, flat, phases, u)
+    sweep = _Sweep(_kernel(params), padded.reshape(-1), L + 2,
+                   *_phases(L, _blocks(L, state.scan_order), cfg.floor, cfg.ceiling))
     for _ in range(n_sweeps):
-        sweep(us.sweep(state.sweep_count))
+        sweep(us.address(state.sweep_count))
         state.sweep_count += 1
         if on_sweep is not None:
             on_sweep(state.sweep_count, heights)
-    if scalar:
-        flat[:] = grid
     cfg.heights[:, :] = heights
     return state
 
 
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_LIB = None
+
+
+def _library():
+    """The compiled sweep routine (_sweep.c), loaded on first use."""
+    global _LIB
+    if _LIB is None:
+        import ctypes
+        lib = ctypes.CDLL(_build())
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.zgff_sweep.argtypes = (ptr, ptr, i64)
+        lib.zgff_sweep.restype = i64
+        lib.zgff_probe.argtypes = (ptr, i64, ptr)
+        lib.zgff_probe.restype = i64
+        _LIB = lib
+    return _LIB
+
+
+def _build():
+    """Path of the shared library built from _sweep.c with _CFLAGS, compiled
+    by cc into $XDG_CACHE_HOME/zgff (default ~/.cache/zgff) unless already
+    there under the sha256 of the source and flags. The file is written
+    under a temporary name and renamed into place, so concurrent builds are
+    safe; an unwritable cache falls back to a temporary directory. A missing
+    or failing compiler raises BuildError."""
+    import subprocess
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.join(os.path.expanduser("~"), ".cache"), "zgff")
+    path = os.path.join(cache, f"_sweep-{digest[:32]}.so")
+    if os.path.exists(path):
+        return path
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    except OSError:
+        path = os.path.join(tempfile.mkdtemp(prefix="zgff-"), os.path.basename(path))
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_CFLAGS, "-o", tmp, source], check=True,
+                       capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        os.unlink(tmp)
+        raise BuildError(f"cc could not build {source}: "
+                         f"{getattr(exc, 'stderr', None) or exc}") from exc
+    os.replace(tmp, path)
+    return path
+
+
 _FILL = 2.0  # pads CDF rows past their support; above every uniform
+_ABSENT = np.iinfo(np.int64).min  # a p != 2 key's missing floor or ceiling
+_KERNELS = {}
+
+
+def _kernel(params):
+    """The kernel of (p, beta), shared by every chain of that (p, beta)."""
+    key = (params.p, params.beta)
+    if key not in _KERNELS:
+        _KERNELS[key] = _Kernel(params)
+    return _KERNELS[key]
 
 
 class _Kernel:
-    """Table-lookup heat bath for one (p, beta).
+    """Table-lookup heat bath for one (p, beta): the CDF rows the compiled
+    sweep draws from, and their key lookup.
 
     Every site's conditional law is a CDF row of conditional_tables, found by
     a small integer key and built the first time the key occurs. Rows are
@@ -169,8 +223,13 @@ class _Kernel:
     and bounds moved by -S//4. Bound offsets are clipped to [-R, R]: a floor
     below -R (a ceiling above R) lies outside every row's support, and one
     above R (below -R) pins the draw to itself, which the final clamp to
-    [floor, ceiling] restores. Other p key on the sorted neighbour gaps and
-    the bound offsets from the lowest neighbour, as conditional_tables does.
+    [floor, ceiling] restores. The key (S % 4) w^2 + (floor offset + R) w +
+    (ceiling offset + R), w = 2R + 1 (no floor is offset -R, no ceiling R),
+    indexes a dense array. Other p key on the sorted neighbour gaps and the
+    bound offsets from the lowest neighbour (_ABSENT if unbounded), as
+    conditional_tables does, in an open-addressing table at most half full.
+    desc, the descriptor the compiled sweep reads (slots K_* of _sweep.c),
+    is rewritten whenever a table moves.
     """
 
     def __init__(self, params):
@@ -178,11 +237,22 @@ class _Kernel:
         self.start = np.zeros(64, dtype=np.int64)
         self.cdf = np.full((64, 1), _FILL)
         self.n_rows = 0
-        self.rows = {}
+        self.miss = np.zeros(5, dtype=np.int64)
+        self.R = 0
         if params.p == 2:
             self.R = self._p2_radius()
             w = 2 * self.R + 1
-            self.index = np.full(4 * w * w, -1, dtype=np.int64)
+            self.lookup = np.full(4 * w * w, -1, dtype=np.int64)
+        else:
+            self.lookup = np.full((64, 6), -1, dtype=np.int64)
+        self.desc = np.zeros(8, dtype=np.int64)
+        self._publish()
+
+    def _publish(self):
+        self.desc[:] = (self.params.p == 2, self.R, self.lookup.ctypes.data,
+                        len(self.lookup) - 1, self.start.ctypes.data,
+                        self.cdf.ctypes.data, self.cdf.shape[1],
+                        self.miss.ctypes.data)
 
     def _p2_radius(self):
         """Smallest R >= 4 with every unconstrained p = 2 row inside
@@ -197,92 +267,84 @@ class _Kernel:
             R += 1
         return R
 
-    def _row(self, key, neighbors, lo, hi):
-        row = self.rows.get(key)
-        if row is None:
-            support0, _, cdf, shift = conditional_tables(neighbors, lo, hi,
-                                                         self.params)
-            row = self.rows[key] = self.n_rows
-            if row == len(self.start):
-                self.start = np.resize(self.start, 2 * row)
-                self.cdf = np.vstack([self.cdf, np.full_like(self.cdf, _FILL)])
-            if len(cdf) > self.cdf.shape[1]:
-                width = 1 << (len(cdf) - 1).bit_length()
-                pad = np.full((len(self.cdf), width - self.cdf.shape[1]), _FILL)
-                self.cdf = np.hstack([self.cdf, pad])
-            self.start[row] = support0[0] + shift
-            self.cdf[row, :len(cdf)] = cdf
-            self.n_rows += 1
+    def _row(self, neighbors, lo, hi):
+        support0, _, cdf, shift = conditional_tables(neighbors, lo, hi,
+                                                     self.params)
+        row = self.n_rows
+        if row == len(self.start):
+            self.start = np.resize(self.start, 2 * row)
+            self.cdf = np.vstack([self.cdf, np.full_like(self.cdf, _FILL)])
+        if len(cdf) > self.cdf.shape[1]:
+            width = 1 << (len(cdf) - 1).bit_length()
+            pad = np.full((len(self.cdf), width - self.cdf.shape[1]), _FILL)
+            self.cdf = np.hstack([self.cdf, pad])
+        self.start[row] = support0[0] + shift
+        self.cdf[row, :len(cdf)] = cdf
+        self.n_rows += 1
         return row
 
-    def _p2_rows(self, nsum, lo, hi):
-        R = self.R
-        w = 2 * R + 1
-        base = nsum >> 2
-        # key = (S % 4) w^2 + (floor offset + R) w + (ceiling offset + R);
-        # no floor is offset -R, no ceiling offset R
-        key = (nsum & 3) * (w * w) + (0 if lo is None else R * w) + (2 * R if hi is None else R)
-        if lo is not None:
-            key += np.minimum(np.maximum(lo - base, -R), R) * w
-        if hi is not None:
-            key += np.minimum(np.maximum(hi - base, -R), R)
-        rows = self.index[key]
-        if rows.min() < 0:
-            for k in np.unique(key[rows < 0]).tolist():
-                r, rest = divmod(k, w * w)
-                fo, co = divmod(rest, w)
-                self.index[k] = self._row(k, (0, 0, 0, r),
-                                          None if fo == 0 else fo - R,
-                                          None if co == 2 * R else co - R)
-            rows = self.index[key]
-        return base, rows
-
-    def _general_rows(self, nb, lo, hi):
-        nb = np.sort(nb, axis=0)
-        base = nb[0]
-        cols = [nb[1] - base, nb[2] - base, nb[3] - base]
-        cols += [np.broadcast_to(b - base, base.shape) for b in (lo, hi) if b is not None]
-        uniq, inv = np.unique(np.stack(cols), axis=1, return_inverse=True)
-        keys = uniq.T.tolist()
-        rows = np.empty(len(keys), dtype=np.int64)
-        for j, key in enumerate(keys):
-            fo = None if lo is None else key[3]
-            co = None if hi is None else key[-1]
-            rows[j] = self._row((*key[:3], fo, co), (0, *key[:3]), fo, co)
-        return base, rows[inv.ravel()]
-
-    def update(self, flat, sites, neighbours, u, lo=None, hi=None):
-        """Resample flat[sites] in place, each site from its exact
-        conditional given flat at its four neighbour indices.
-
-        sites must be pairwise non-adjacent; u is an array aligned with
-        them, lo (floors) and hi (ceilings) scalars or such arrays, None
-        meaning unbounded. lo <= hi is the caller's to check (_phases does).
-        """
-        a, b, c, d = (flat[n] for n in neighbours)
+    def add_missing(self):
+        """Build and file the row of the key the compiled sweep stopped at
+        (in miss), then republish the tables."""
         if self.params.p == 2:
-            base, rows = self._p2_rows(a + b + c + d, lo, hi)
+            R, key = self.R, int(self.miss[0])
+            r, rest = divmod(key, (2 * R + 1) ** 2)
+            fo, co = divmod(rest, 2 * R + 1)
+            self.lookup[key] = self._row((0, 0, 0, r),
+                                         None if fo == 0 else fo - R,
+                                         None if co == 2 * R else co - R)
         else:
-            base, rows = self._general_rows(np.stack([a, b, c, d]), lo, hi)
-        width = self.cdf.shape[1]
-        flat_cdf = self.cdf.reshape(-1)
-        pos = rows * width
-        new = base + self.start[rows] - pos
-        step = width >> 1
-        while step:
-            pos += step * (flat_cdf[pos + (step - 1)] <= u)
-            step >>= 1
-        new += pos
-        if lo is not None:
-            np.maximum(new, lo, out=new)
-        if hi is not None:
-            np.minimum(new, hi, out=new)
-        flat[sites] = new
+            g1, g2, g3, fo, co = self.miss.tolist()
+            row = self._row((0, g1, g2, g3), None if fo == _ABSENT else fo,
+                            None if co == _ABSENT else co)
+            if 2 * self.n_rows > len(self.lookup):
+                old = self.lookup[self.lookup[:, 5] >= 0]
+                self.lookup = np.full((2 * len(self.lookup), 6), -1, dtype=np.int64)
+                for entry in old:
+                    self._file(entry)
+            self._file(np.array([g1, g2, g3, fo, co, row], dtype=np.int64))
+        self._publish()
+
+    def _file(self, entry):
+        """Put entry (a key and its row) in its lookup slot."""
+        slot = _library().zgff_probe(self.lookup.ctypes.data,
+                                     len(self.lookup) - 1, entry.ctypes.data)
+        self.lookup[slot] = entry
 
 
-def _block(sites, W):
-    """Sites and their four neighbour indices in padded grids of row stride W."""
-    return sites, (sites - W, sites + W, sites - 1, sites + 1)
+_NO_BOUND, _SCALAR_BOUND, _ARRAY_BOUND = range(3)
+
+
+class _Sweep:
+    """One sweep of a padded grid (flat, row stride W) by the compiled
+    routine: sites[j], in order, draws with uniform u[uidx[j]] between
+    bounds lo and hi (None, an int, or arrays aligned with sites). The
+    context array (slots C_* of _sweep.c) holds the arrays' addresses, so
+    this object keeps them alive; a call passes it and the address of u."""
+
+    def __init__(self, kernel, flat, W, sites, uidx, lo, hi):
+        bounds = [b for b in (lo, hi) if isinstance(b, np.ndarray)]
+        if (any(a.dtype != np.int64 or not a.flags.c_contiguous
+                for a in (flat, sites, uidx, *bounds))
+                or any(len(a) != len(sites) for a in (uidx, *bounds))):
+            raise StructureError("sweep arrays must be contiguous int64 "
+                                 "and aligned with the sites")
+        self.kernel = kernel
+        self._arrays = (flat, sites, uidx, lo, hi)
+        kinds = [(_NO_BOUND, 0) if b is None
+                 else (_ARRAY_BOUND, b.ctypes.data) if isinstance(b, np.ndarray)
+                 else (_SCALAR_BOUND, int(b)) for b in (lo, hi)]
+        self.ctx = np.array([kernel.desc.ctypes.data, flat.ctypes.data,
+                             len(sites), sites.ctypes.data, uidx.ctypes.data,
+                             W, *kinds[0], *kinds[1]], dtype=np.int64)
+        self._ctx = self.ctx.ctypes.data
+        self._call = _library().zgff_sweep
+
+    def __call__(self, u_address):
+        pos = self._call(self._ctx, u_address, 0)
+        while pos >= 0:
+            self.kernel.add_missing()
+            pos = self._call(self._ctx, u_address, pos)
 
 
 def _blocks(L, scan_order):
@@ -306,28 +368,21 @@ def _blocks(L, scan_order):
 
 
 def _phases(L, blocks, floors, ceilings, B=1):
-    """Per block: its sites and their four neighbour indices in each of B
-    padded (L+2)^2 grids laid back to back, the sites' uniform indices
-    y*L + x, and their floors and ceilings (None, an int, or taken from an
-    (L, L) or (B, L, L) array)."""
+    """A sweep's sites, the blocks laid end to end, in each of B padded
+    (L+2)^2 grids laid back to back (grid after grid): their flat indices,
+    uniform indices y*L + x, floors and ceilings (None, an int, or int64
+    arrays aligned with the sites, taken from an (L, L) or (B, L, L) array)."""
     if (floors is not None and ceilings is not None
             and np.any(np.asarray(floors) > np.asarray(ceilings))):
         raise InvalidConstraintError("floor above ceiling")
     W = L + 2
-    offsets = np.arange(B)[:, None] * (W * W)
-    phases = []
-    for xs, ys in blocks:
-        sites = (offsets + (xs + 1) * W + (ys + 1)).ravel()
-        lo, hi = [b if b is None else int(b) if np.ndim(b) == 0
-                  else b[..., xs, ys].ravel() for b in (floors, ceilings)]
-        phases.append((*_block(sites, W), np.tile(ys * L + xs, B), lo, hi))
-    return phases
-
-
-def _sweep_phases(kernel, flat, phases, u):
-    """One sweep: the kernel on each phase in turn, with its uniforms."""
-    for sites, neighbours, uidx, lo, hi in phases:
-        kernel.update(flat, sites, neighbours, u[uidx], lo, hi)
+    xs = np.concatenate([b[0] for b in blocks])
+    ys = np.concatenate([b[1] for b in blocks])
+    sites = (np.arange(B)[:, None] * (W * W) + (xs + 1) * W + (ys + 1)).ravel()
+    lo, hi = [b if b is None else int(b) if np.ndim(b) == 0
+              else np.broadcast_to(b, (B, L, L))[:, xs, ys].astype(np.int64).ravel()
+              for b in (floors, ceilings)]
+    return sites, np.tile(ys * L + xs, B), lo, hi
 
 
 def _leq_bound(a, b):
@@ -392,7 +447,8 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
                       floors_lo=None, floors_up=None,
                       ceilings_lo=None, ceilings_up=None):
     """Run n_sweeps of the shared-uniform coupling on a batch of ordered pairs:
-    raster sweeps, each raster block updated across all replicas at once.
+    raster sweeps of every replica, each replica's site (x, y) reading the
+    sweep's uniform y*L + x.
 
     pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included).
     Returns the number of (pair, site) order violations seen after any sweep
@@ -400,22 +456,23 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     """
     B, W, _ = pad_lo.shape
     L = W - 2
-    kernel = _Kernel(params)
-    flat_lo, flat_up = pad_lo.reshape(-1), pad_up.reshape(-1)
+    kernel = _kernel(params)
     blocks = _blocks(L, "raster")
-    phases_lo = _phases(L, blocks, floors_lo, ceilings_lo, B)
-    phases_up = _phases(L, blocks, floors_up, ceilings_up, B)
+    grids = [np.ascontiguousarray(pad, dtype=np.int64) for pad in (pad_lo, pad_up)]
+    sweeps = [_Sweep(kernel, grid.reshape(-1), W, *_phases(L, blocks, lo, hi, B))
+              for grid, lo, hi in zip(grids, (floors_lo, floors_up),
+                                      (ceilings_lo, ceilings_up))]
     us = UniformStream(seed, L * L)
+    inner = np.s_[:, 1:L + 1, 1:L + 1]
     violations = 0
     for t in range(n_sweeps):
-        u = us.sweep(t)
-        _sweep_phases(kernel, flat_lo, phases_lo, u)
-        _sweep_phases(kernel, flat_up, phases_up, u)
-        inner = np.s_[:, 1:L + 1, 1:L + 1]
-        violations += int((flat_lo.reshape(B, W, W)[inner]
-                           > flat_up.reshape(B, W, W)[inner]).sum())
-    pad_lo[...] = flat_lo.reshape(B, W, W)   # a no-op unless reshape copied
-    pad_up[...] = flat_up.reshape(B, W, W)
+        u = us.address(t)
+        for sweep in sweeps:
+            sweep(u)
+        violations += int((grids[0][inner] > grids[1][inner]).sum())
+    for pad, grid in zip((pad_lo, pad_up), grids):
+        if grid is not pad:
+            pad[...] = grid
     return violations
 
 

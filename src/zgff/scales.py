@@ -241,8 +241,11 @@ def floor_probability_check(params: ModelParams, f_side, h, samples, seed,
     zero-boundary measure against exp(-P(phi_o < -h) |F|).
 
     Returns a dict with lhs, rhs, ratio and a CI for lhs; status 'too-rare'
-    when the event never varies enough to estimate.
+    when the event never varies enough to estimate. samples < 1 raises
+    StructureError.
     """
+    if samples < 1:
+        raise StructureError(f"samples must be >= 1, got {samples}")
     if f_side * f_side > 400:
         raise StructureError("|F| above the stated desk-scale limit of 400")
     if f_side == 0:

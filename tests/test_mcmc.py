@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -319,24 +320,20 @@ def _kernel_cases(rng, L):
 
 @pytest.mark.parametrize("beta", [0.8, 2.5])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_checkerboard_kernel_matches_scalar_draws(p, beta, monkeypatch):
-    # both scans on both engines: _SCALAR_SITES = 0 forces the kernel, and
-    # 10**9 (above every box's sites per block) the scalar sweep
+def test_checkerboard_kernel_matches_scalar_draws(p, beta):
+    # both scans through run_chain's compiled sweep, every box of the cases
     params = ModelParams(p=p, beta=beta)
     L, seed = 12, 31
     for scan in ("raster", "checkerboard"):
-        for scalar_sites in (0, 10 ** 9):
-            monkeypatch.setattr(mcmc, "_SCALAR_SITES", scalar_sites)
-            cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
-            for name, cfg in cases.items():
-                ref = cfg.copy()
-                state = ChainState(config=cfg, seed=seed, scan_order=scan)
-                us = UniformStream(seed, L * L)
-                for t in range(3):
-                    run_chain(state, params, 1)
-                    _reference_sweep(ref, params, us.sweep(t), scan)
-                    assert np.array_equal(cfg.heights, ref.heights), (
-                        name, scan, scalar_sites, t)
+        cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
+        for name, cfg in cases.items():
+            ref = cfg.copy()
+            state = ChainState(config=cfg, seed=seed, scan_order=scan)
+            us = UniformStream(seed, L * L)
+            for t in range(3):
+                run_chain(state, params, 1)
+                _reference_sweep(ref, params, us.sweep(t), scan)
+                assert np.array_equal(cfg.heights, ref.heights), (name, scan, t)
 
 
 @pytest.mark.parametrize("L", range(1, 10))
@@ -499,6 +496,18 @@ def test_checkerboard_centre_marginal_matches_exact_3x3():
     assert tv < 0.02
 
 
+def _one_site_draws(kernel, nb, u, lo, hi):
+    """The compiled sweep of one site with neighbours nb in each of len(u)
+    3x3 padded grids, grid j drawing with u[j]; returns the draws."""
+    B, W = len(u), 3
+    sites = np.arange(B) * W * W + W + 1
+    flat = np.zeros(B * W * W, dtype=np.int64)
+    for offset, v in zip((-W, W, -1, 1), nb):
+        flat[sites + offset] = v
+    mcmc._Sweep(kernel, flat, W, sites, np.arange(B), lo, hi)(u.ctypes.data)
+    return flat[sites].tolist()
+
+
 @pytest.mark.parametrize("beta", [0.8, 2.5])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_kernel_quantiles_match_scalar_on_a_uniform_grid(p, beta):
@@ -508,23 +517,60 @@ def test_kernel_quantiles_match_scalar_on_a_uniform_grid(p, beta):
     # grid is offset by an irrational so no uniform sits on a CDF value
     # (0.5 is one for symmetric laws), where last-bit rounding differences
     # of the two tables would decide the draw
-    from zgff.mcmc import _Kernel, _block
     params = ModelParams(p=p, beta=beta)
-    kernel = _Kernel(params)
+    kernel = mcmc._Kernel(params)
     rng = np.random.default_rng(int(100 * p + 10 * beta))
-    B, W = 1000, 3
+    B = 1000
     u = (np.arange(B) + 2 ** -0.5) / B
-    sites, neighbours = _block(np.arange(B) * W * W + W + 1, W)
     for _ in range(60):
         nb = [int(v) for v in rng.integers(-6, 7, size=4)]
         lo = None if rng.random() < 0.3 else int(rng.integers(-12, 6))
         hi = None if rng.random() < 0.3 else int(rng.integers(-6 if lo is None else lo, 12))
-        flat = np.zeros(B * W * W, dtype=np.int64)
-        for n, v in zip(neighbours, nb):
-            flat[n] = v
-        kernel.update(flat, sites, neighbours, u, lo, hi)
         d = local_conditional(nb, lo, hi, params)
-        assert flat[sites].tolist() == [d.quantile(x) for x in u], (nb, lo, hi)
+        assert _one_site_draws(kernel, nb, u, lo, hi) == [d.quantile(x) for x in u], (
+            nb, lo, hi)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_uniform_on_a_cdf_value_draws_the_next_support_point(p):
+    # neighbours already in the kernel's normal form (lowest 0; for p = 2
+    # (0, 0, 0, r) with r < 4) share their conditional_tables row with the
+    # kernel, so u equal to a CDF entry must draw as bisect_right does: past it
+    params = ModelParams(p=p, beta=0.7)
+    kernel = mcmc._Kernel(params)
+    for nb, lo, hi in [((0, 0, 0, 1), None, None), ((0, 0, 1, 2), -1, None),
+                       ((0, 0, 0, 3), None, 2), ((0, 0, 0, 0), -2, 3)]:
+        if p != 2 or nb[:3] == (0, 0, 0):
+            d = local_conditional(nb, lo, hi, params)
+            u = np.array(d.cdf[:-1])
+            assert _one_site_draws(kernel, nb, u, lo, hi) == d.support[1:], (nb, lo, hi)
+
+
+def test_uniform_streams_share_blocks_without_mixing_them(monkeypatch):
+    # streams of one key and length reuse the last block loaded; each sweep
+    # still reads the Philox block of its own (key, block id)
+    def reference(seed, chain, n, t):
+        block_sweeps = max(1, (1 << 16) // n)
+        g, r = divmod(t, block_sweeps)
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([seed, chain], dtype=np.uint64),
+            counter=np.array([0, 0, 0, g], dtype=np.uint64)))
+        return gen.random(block_sweeps * n)[r * n:(r + 1) * n]
+
+    loads = []
+    load = UniformStream._load
+    monkeypatch.setattr(UniformStream, "_load",
+                        lambda self, g: loads.append(g) or load(self, g))
+    reads = [(5, 0, 16, 0), (5, 0, 16, 4096), (5, 0, 16, 1), (5, 1, 16, 2),
+             (5, 0, 16, 4097), (5, 0, 9, 3), (6, 0, 16, 4098)]
+    for seed, chain, n, t in reads:
+        u = UniformStream(seed, n, chain=chain).sweep(t)
+        assert np.array_equal(u, reference(seed, chain, n, t)), (seed, chain, n, t)
+    # the third read reloads block 0, the fifth reuses block 1 of the second
+    assert loads == [0, 1, 0, 0, 1, 0, 1]
+    u = UniformStream(6, 16).sweep(4099)
+    assert loads[-1] == 1 and len(loads) == 7
+    assert np.array_equal(u, reference(6, 0, 16, 4099))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -532,26 +578,168 @@ def test_kernel_table_widens_mid_run(p):
     # rows wider than the whole table arrive after narrow ones, so the table
     # grows to the next power of two between updates; the first key, drawn
     # again last, reads its row from the widened table
-    from zgff.mcmc import _Kernel, _block
     params = ModelParams(p=p, beta=0.3)
-    kernel = _Kernel(params)
-    B, W = 1000, 3
+    kernel = mcmc._Kernel(params)
+    B = 1000
     u = (np.arange(B) + 2 ** -0.5) / B
-    sites, neighbours = _block(np.arange(B) * W * W + W + 1, W)
     cases = [((0, 0, 0, 0), 0, 1), ((0, 0, 0, 1), None, None),
              ((0, 0, 40, 40), None, None), ((0, 0, 0, 0), 0, 1)]
     widths = []
     for nb, lo, hi in cases:
         d = local_conditional(nb, lo, hi, params)
         widths.append((kernel.cdf.shape[1], len(d.probs)))
-        flat = np.zeros(B * W * W, dtype=np.int64)
-        for n, v in zip(neighbours, nb):
-            flat[n] = v
-        kernel.update(flat, sites, neighbours, u, lo, hi)
-        assert flat[sites].tolist() == [d.quantile(x) for x in u], (nb, lo, hi)
+        assert _one_site_draws(kernel, nb, u, lo, hi) == [d.quantile(x) for x in u], (
+            nb, lo, hi)
         width = kernel.cdf.shape[1]
         assert width & (width - 1) == 0
     # the second row is wider than the table before it, and so for p != 2 is
     # the third (p = 2 keys that one as the unbounded row of (0, 0, 0, 0))
     assert widths[1][1] > widths[1][0] > 1
     assert p == 2 or widths[2][1] > widths[2][0]
+
+
+def _site_by_site(flat, W, sites, uidx, lo, hi, u, params, positions):
+    """Draw the sites at the given positions of a sweep in turn, each from
+    local_conditional given flat (the reference for the compiled sweep)."""
+    for j in positions:
+        i = int(sites[j])
+        nb = [int(flat[i + o]) for o in (-W, W, -1, 1)]
+        f, c = [b if b is None or np.ndim(b) == 0 else int(b[j]) for b in (lo, hi)]
+        flat[i] = local_conditional(nb, f, c, params).quantile(u[uidx[j]])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_sweep_resumes_at_the_site_of_a_missing_row(p):
+    # a fresh kernel stops the sweep at every new key: the sites before the
+    # stop are drawn, the rest untouched, and the call after add_missing
+    # resumes at that site, inside a block as well as at its start
+    params = ModelParams(p=p, beta=1.0)
+    L, seed = 8, 5
+    rng = np.random.default_rng(3)
+    floor = rng.integers(-2, 1, size=(L, L))
+    cfg = SurfaceConfig(L, (floor + rng.integers(0, 4, size=(L, L))).astype(np.int32),
+                        {s: int(rng.integers(-3, 4)) for s in build_boundary(("all", 0), L)},
+                        floor=floor)
+    flat = cfg.padded().reshape(-1)
+    W = L + 2
+    sites, uidx, lo, hi = mcmc._phases(L, mcmc._blocks(L, "checkerboard"),
+                                       cfg.floor, cfg.ceiling)
+    kernel = mcmc._Kernel(params)
+    sweep = mcmc._Sweep(kernel, flat, W, sites, uidx, lo, hi)
+    u = UniformStream(seed, L * L).sweep(0)
+    ref = flat.copy()
+    call = mcmc._library().zgff_sweep
+    pos, stops = 0, []
+    while True:
+        stop = call(sweep.ctx.ctypes.data, u.ctypes.data, pos)
+        end = len(sites) if stop < 0 else stop
+        _site_by_site(ref, W, sites, uidx, lo, hi, u, params, range(pos, end))
+        assert np.array_equal(flat, ref), (pos, stop)
+        if stop < 0:
+            break
+        assert stop > pos or stop == pos == 0
+        stops.append(stop)
+        kernel.add_missing()
+        pos = stop
+    assert stops[0] == 0
+    assert any(s not in (0, len(sites) // 2) for s in stops)
+
+
+def test_general_key_table_grows_past_half_load_mid_sweep():
+    # p = 1.5 keys on neighbour gaps and bound offsets: a rough surface
+    # brings far more keys than half of the 64-slot table, which doubles
+    # while the sweep runs; every filed key is still found afterwards
+    params = ModelParams(p=1.5, beta=0.6)
+    L, seed = 12, 2
+    rng = np.random.default_rng(8)
+    cfg = SurfaceConfig(L, rng.integers(-15, 16, size=(L, L)).astype(np.int32),
+                        {s: int(rng.integers(-15, 16)) for s in build_boundary(("all", 0), L)})
+    kernel = mcmc._Kernel(params)
+    assert len(kernel.lookup) == 64
+    ref = cfg.copy()
+    flat = cfg.padded().reshape(-1)
+    start = flat.copy()
+    phases = mcmc._phases(L, mcmc._blocks(L, "raster"), None, None)
+    u = UniformStream(seed, L * L).sweep(0)
+    mcmc._Sweep(kernel, flat, L + 2, *phases)(u.ctypes.data)
+    _reference_sweep(ref, params, u, "raster")
+    assert np.array_equal(flat.reshape(L + 2, L + 2)[1:L + 1, 1:L + 1], ref.heights)
+    assert kernel.n_rows > 32 and len(kernel.lookup) >= 2 * kernel.n_rows
+    filed = kernel.n_rows
+    mcmc._Sweep(kernel, start, L + 2, *phases)(u.ctypes.data)
+    assert kernel.n_rows == filed
+    assert np.array_equal(start, flat)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_coupled_batch_replicas_match_single_chains(p):
+    # B > 1 replicas with bounds shared by every replica (an (L, L) floor, a
+    # scalar ceiling): each replica's grid is the raster chain run_chain
+    # draws on it alone with the same seed
+    params = ModelParams(p=p, beta=1.2)
+    B, L, seed, sweeps = 3, 5, 13, 6
+    rng = np.random.default_rng(21)
+    floor = rng.integers(-2, 1, size=(L, L))
+    pad_lo = np.zeros((B, L + 2, L + 2), dtype=np.int64)
+    pad_lo[:, 1:L + 1, 1:L + 1] = floor + rng.integers(0, 2, size=(B, L, L))
+    pad_up = pad_lo + 1
+    ring = list(build_boundary(("all", 0), L))
+    out_lo, out_up = pad_lo.copy(), pad_up.copy()
+    violations = coupled_batch_run(out_lo, out_up, params, seed, sweeps,
+                                   floors_lo=floor, floors_up=floor,
+                                   ceilings_lo=3, ceilings_up=4)
+    assert violations == 0
+    for pads, outs, ceiling in ((pad_lo, out_lo, 3), (pad_up, out_up, 4)):
+        for b in range(B):
+            boundary = {(x, y): int(pads[b, x + 1, y + 1]) for x, y in ring}
+            cfg = SurfaceConfig(L, pads[b, 1:L + 1, 1:L + 1].astype(np.int32),
+                                boundary, floor=floor, ceiling=ceiling)
+            run_chain(ChainState(config=cfg, seed=seed), params, sweeps)
+            assert np.array_equal(outs[b, 1:L + 1, 1:L + 1], cfg.heights), (b, ceiling)
+
+
+def _fresh_library(monkeypatch, cache):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(mcmc, "_LIB", None)
+
+
+def test_second_chain_reuses_the_built_library(tmp_path, monkeypatch):
+    _fresh_library(monkeypatch, tmp_path)
+    params = ModelParams(p=2, beta=1.0)
+    state = ChainState(config=SurfaceConfig.flat(4), seed=1)
+    run_chain(state, params, 2)
+    built = {f: f.stat().st_mtime_ns for f in tmp_path.rglob("*") if f.is_file()}
+    assert [f.parent.name for f in built] == ["zgff"]
+    assert next(iter(built)).suffix == ".so"
+    run_chain(state, params, 2)
+    # a new process finds the library in the cache instead of building it
+    monkeypatch.setattr(mcmc, "_LIB", None)
+    run_chain(state, params, 2)
+    assert {f: f.stat().st_mtime_ns for f in tmp_path.rglob("*") if f.is_file()} == built
+
+
+def test_unwritable_cache_builds_into_a_temporary_directory(tmp_path, monkeypatch):
+    # a regular file where the cache directory should be
+    (tmp_path / "cache").write_text("")
+    _fresh_library(monkeypatch, tmp_path / "cache")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    state = ChainState(config=SurfaceConfig.flat(3), seed=2)
+    run_chain(state, ModelParams(p=2, beta=1.0), 2)
+    assert state.sweep_count == 2
+    [built] = tmp_path.glob("zgff-*/_sweep-*.so")
+    assert [f.name for f in built.parent.iterdir()] == [built.name]
+
+
+def test_missing_compiler_raises_build_error(tmp_path, monkeypatch):
+    from zgff.cli import main
+    from zgff.errors import BuildError
+    _fresh_library(monkeypatch, tmp_path / "cache")
+    monkeypatch.setenv("PATH", "")
+    state = ChainState(config=SurfaceConfig.flat(4), seed=1)
+    with pytest.raises(BuildError):
+        run_chain(state, ModelParams(p=2, beta=1.0), 1)
+    assert state.sweep_count == 0
+    assert not any(f.is_file() for f in (tmp_path / "cache").rglob("*"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--sweeps", "5", "--burnin", "1"]) == 5
+    assert not list(out.glob("*.snap")) and not (out / "snapshots.csv").exists()

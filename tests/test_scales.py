@@ -212,3 +212,21 @@ def test_floor_probability_too_rare():
 def test_floor_probability_region_cap():
     with pytest.raises(StructureError):
         floor_probability_check(ModelParams(), 21, 1, 10, seed=0)
+
+
+def test_floor_probability_rejects_starved_runs(monkeypatch):
+    # checked before any histogram or chain: a supplied histogram used to
+    # reach a ZeroDivisionError (samples = 0) or a ValueError (samples = -1)
+    params = ModelParams(p=2.0, beta=0.8)
+    hist = scales.estimate_height_prob(params, 24, 20, 1)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(scales, "run_chain", no_chain)
+    monkeypatch.setattr(scales, "estimate_height_prob", no_chain)
+    for samples in (0, -1):
+        with pytest.raises(StructureError):
+            floor_probability_check(params, 4, 1, samples, 3, hist=hist)
+        with pytest.raises(StructureError):
+            floor_probability_check(params, 4, 1, samples, 3)
