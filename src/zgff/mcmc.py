@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -92,32 +93,22 @@ class ChainState:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
 
 
-def heat_bath_sweep(state: ChainState, params: ModelParams) -> ChainState:
-    """Resample every interior site once from its exact conditional.
-
-    Each site update is a draw from local_conditional given the current
-    neighbors, so detailed balance holds update by update. The state is
-    modified in place (configs are single-writer) and returned.
-    """
-    run_chain(state, params, 1)
-    return state
-
-
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
-    A sweep updates the sites of _blocks(L, scan_order), block after block,
-    in one call of the compiled routine (_Sweep), each site drawn from its
-    exact conditional by the kernel of (p, beta).
+    A sweep is one call of the compiled routine (_Sweep), which walks the
+    scan: checkerboard colour by colour (even x + y first), raster row by row
+    (row-major), each site drawn from its exact conditional by the kernel of
+    (p, beta).
 
     The chain runs on one padded grid built by config.padded(). on_sweep, if
     given, is called after each sweep as on_sweep(sweep_count, heights), where
     heights is the (L, L) int64 [x, y] interior view of that grid; it stays
     valid until the next sweep. config.heights is written back once, at the
-    end. n_sweeps < 0 raises StructureError, and a C compiler that is
-    missing or fails on first use BuildError (see _build). This is the
-    engine behind heat_bath_sweep, sample_equilibrium and the monotone
-    coupling.
+    end. n_sweeps < 0 raises StructureError, a floor above the ceiling
+    InvalidConstraintError, and a C compiler that is missing or fails on
+    first use BuildError (see _build). This is the engine behind
+    sample_equilibrium and the monotone coupling.
     """
     if n_sweeps < 0:
         raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
@@ -126,8 +117,8 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     us = UniformStream(state.seed, L * L, chain=state.chain_id)
     padded = cfg.padded()
     heights = padded[1:L + 1, 1:L + 1]
-    sweep = _Sweep(_kernel(params), padded.reshape(-1), L + 2,
-                   *_phases(L, _blocks(L, state.scan_order), cfg.floor, cfg.ceiling))
+    sweep = _Sweep(_kernel(params), padded.reshape(-1), L, 1, state.scan_order,
+                   cfg.floor, cfg.ceiling)
     for _ in range(n_sweeps):
         sweep(us.address(state.sweep_count))
         state.sweep_count += 1
@@ -146,7 +137,12 @@ def _library():
     global _LIB
     if _LIB is None:
         import ctypes
-        lib = ctypes.CDLL(_build())
+        path, scratch = _build()
+        try:
+            lib = ctypes.CDLL(path)
+        finally:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.zgff_sweep.argtypes = (ptr, ptr, i64)
         lib.zgff_sweep.restype = i64
@@ -157,12 +153,14 @@ def _library():
 
 
 def _build():
-    """Path of the shared library built from _sweep.c with _CFLAGS, compiled
-    by cc into $XDG_CACHE_HOME/zgff (default ~/.cache/zgff) unless already
-    there under the sha256 of the source and flags. The file is written
-    under a temporary name and renamed into place, so concurrent builds are
-    safe; an unwritable cache falls back to a temporary directory. A missing
-    or failing compiler raises BuildError."""
+    """(path, scratch) of the shared library built from _sweep.c with
+    _CFLAGS, compiled by cc into $XDG_CACHE_HOME/zgff (default ~/.cache/zgff)
+    unless already there under the sha256 of the source and flags. The file
+    is written under a temporary name and renamed into place, so concurrent
+    builds are safe. scratch is None, or, when the cache is unwritable, the
+    temporary directory the library was built in instead, for the caller to
+    remove once the library is loaded. A missing or failing compiler raises
+    BuildError and leaves no file behind."""
     import subprocess
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
     with open(source, "rb") as fh:
@@ -171,23 +169,27 @@ def _build():
                          or os.path.join(os.path.expanduser("~"), ".cache"), "zgff")
     path = os.path.join(cache, f"_sweep-{digest[:32]}.so")
     if os.path.exists(path):
-        return path
+        return path, None
+    scratch = None
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     except OSError:
-        path = os.path.join(tempfile.mkdtemp(prefix="zgff-"), os.path.basename(path))
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+        scratch = tempfile.mkdtemp(prefix="zgff-")
+        path = os.path.join(scratch, os.path.basename(path))
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=scratch)
     os.close(fd)
     try:
         subprocess.run(["cc", *_CFLAGS, "-o", tmp, source], check=True,
                        capture_output=True, text=True)
     except (OSError, subprocess.CalledProcessError) as exc:
         os.unlink(tmp)
+        if scratch is not None:
+            os.rmdir(scratch)
         raise BuildError(f"cc could not build {source}: "
                          f"{getattr(exc, 'stderr', None) or exc}") from exc
     os.replace(tmp, path)
-    return path
+    return path, scratch
 
 
 _FILL = 2.0  # pads CDF rows past their support; above every uniform
@@ -316,27 +318,32 @@ _NO_BOUND, _SCALAR_BOUND, _ARRAY_BOUND = range(3)
 
 
 class _Sweep:
-    """One sweep of a padded grid (flat, row stride W) by the compiled
-    routine: sites[j], in order, draws with uniform u[uidx[j]] between
-    bounds lo and hi (None, an int, or arrays aligned with sites). The
-    context array (slots C_* of _sweep.c) holds the arrays' addresses, so
+    """One sweep of B padded (L+2)^2 grids laid back to back (flat) by the
+    compiled routine, in scan order, every grid's site (x, y) drawing with
+    the sweep's uniform y*L + x between bounds lo and hi (None, an int, or
+    an array that broadcasts to (B, L, L), indexed [replica, x, y]). A floor
+    above its ceiling raises InvalidConstraintError. The context array
+    (slots C_* of _sweep.c) holds the grid's and the bounds' addresses, so
     this object keeps them alive; a call passes it and the address of u."""
 
-    def __init__(self, kernel, flat, W, sites, uidx, lo, hi):
-        bounds = [b for b in (lo, hi) if isinstance(b, np.ndarray)]
-        if (any(a.dtype != np.int64 or not a.flags.c_contiguous
-                for a in (flat, sites, uidx, *bounds))
-                or any(len(a) != len(sites) for a in (uidx, *bounds))):
-            raise StructureError("sweep arrays must be contiguous int64 "
-                                 "and aligned with the sites")
+    def __init__(self, kernel, flat, L, B, scan_order, lo, hi):
+        if (L < 1 or flat.dtype != np.int64 or not flat.flags.c_contiguous
+                or flat.size != B * (L + 2) ** 2):
+            raise StructureError("the sweep grid must be B contiguous int64 "
+                                 "(L+2)^2 grids with L >= 1")
+        if lo is not None and hi is not None and np.any(np.asarray(lo) > np.asarray(hi)):
+            raise InvalidConstraintError("floor above ceiling")
+        bounds = [b if b is None or np.ndim(b) == 0 else
+                  np.ascontiguousarray(np.broadcast_to(b, (B, L, L)), dtype=np.int64)
+                  for b in (lo, hi)]
         self.kernel = kernel
-        self._arrays = (flat, sites, uidx, lo, hi)
+        self._arrays = (flat, *bounds)
         kinds = [(_NO_BOUND, 0) if b is None
                  else (_ARRAY_BOUND, b.ctypes.data) if isinstance(b, np.ndarray)
-                 else (_SCALAR_BOUND, int(b)) for b in (lo, hi)]
-        self.ctx = np.array([kernel.desc.ctypes.data, flat.ctypes.data,
-                             len(sites), sites.ctypes.data, uidx.ctypes.data,
-                             W, *kinds[0], *kinds[1]], dtype=np.int64)
+                 else (_SCALAR_BOUND, int(b)) for b in bounds]
+        self.ctx = np.array([kernel.desc.ctypes.data, flat.ctypes.data, L, B,
+                             2 if scan_order == "checkerboard" else 1,
+                             *kinds[0], *kinds[1]], dtype=np.int64)
         self._ctx = self.ctx.ctypes.data
         self._call = _library().zgff_sweep
 
@@ -345,50 +352,6 @@ class _Sweep:
         while pos >= 0:
             self.kernel.add_missing()
             pos = self._call(self._ctx, u_address, pos)
-
-
-def _blocks(L, scan_order):
-    """The blocks of one sweep in update order, each a pair (xs, ys) of
-    pairwise non-adjacent sites. Checkerboard: the two colours, even x + y
-    first. Raster: the anti-diagonals x + y = d in increasing d; a site's west
-    and south neighbours lie on diagonal d - 1 and its east and north ones on
-    d + 1, so updating the diagonals in turn reads what row-major order reads.
-    """
-    if scan_order == "raster":
-        diagonals = [np.arange(max(0, d - L + 1), min(d, L - 1) + 1)
-                     for d in range(2 * L - 1)]
-        return [(xs, d - xs) for d, xs in enumerate(diagonals)]
-    # colour c holds y = (x + c) % 2, + 2, ... of each row x, in (x, y) order
-    blocks = []
-    for c in range(min(2, L * L)):
-        rows = [np.arange((x + c) % 2, L, 2) for x in range(L)]
-        blocks.append((np.repeat(np.arange(L), [len(r) for r in rows]),
-                       np.concatenate(rows)))
-    return blocks
-
-
-def _phases(L, blocks, floors, ceilings, B=1):
-    """A sweep's sites, the blocks laid end to end, in each of B padded
-    (L+2)^2 grids laid back to back (grid after grid): their flat indices,
-    uniform indices y*L + x, floors and ceilings (None, an int, or int64
-    arrays aligned with the sites, taken from an (L, L) or (B, L, L) array)."""
-    if (floors is not None and ceilings is not None
-            and np.any(np.asarray(floors) > np.asarray(ceilings))):
-        raise InvalidConstraintError("floor above ceiling")
-    W = L + 2
-    xs = np.concatenate([b[0] for b in blocks])
-    ys = np.concatenate([b[1] for b in blocks])
-    sites = (np.arange(B)[:, None] * (W * W) + (xs + 1) * W + (ys + 1)).ravel()
-    lo, hi = [b if b is None else int(b) if np.ndim(b) == 0
-              else np.broadcast_to(b, (B, L, L))[:, xs, ys].astype(np.int64).ravel()
-              for b in (floors, ceilings)]
-    return sites, np.tile(ys * L + xs, B), lo, hi
-
-
-def _leq_bound(a, b):
-    """a <= b pointwise, with None meaning -inf for floors / +inf for ceilings
-    handled by the caller passing sentinels."""
-    return bool(np.all(a <= b))
 
 
 def check_ordered(lower: SurfaceConfig, upper: SurfaceConfig):
@@ -404,7 +367,7 @@ def check_ordered(lower: SurfaceConfig, upper: SurfaceConfig):
     up_f = _as_grid(upper.floor, L, -np.inf)
     lo_c = _as_grid(lower.ceiling, L, np.inf)
     up_c = _as_grid(upper.ceiling, L, np.inf)
-    if not (_leq_bound(lo_f, up_f) and _leq_bound(lo_c, up_c)):
+    if not (np.all(lo_f <= up_f) and np.all(lo_c <= up_c)):
         raise OrderingError("floor/ceiling ordering violated")
 
 
@@ -457,9 +420,8 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     B, W, _ = pad_lo.shape
     L = W - 2
     kernel = _kernel(params)
-    blocks = _blocks(L, "raster")
     grids = [np.ascontiguousarray(pad, dtype=np.int64) for pad in (pad_lo, pad_up)]
-    sweeps = [_Sweep(kernel, grid.reshape(-1), W, *_phases(L, blocks, lo, hi, B))
+    sweeps = [_Sweep(kernel, grid.reshape(-1), L, B, "raster", lo, hi)
               for grid, lo, hi in zip(grids, (floors_lo, floors_up),
                                       (ceilings_lo, ceilings_up))]
     us = UniformStream(seed, L * L)

@@ -8,9 +8,8 @@ from oracles import box_center_marginal_exact, gibbs_2x2_exact
 from zgff import mcmc
 from zgff.errors import InvalidConstraintError, OrderingError, StructureError
 from zgff.mcmc import (ChainState, UniformStream, cftp_sample, coupled_batch_run,
-                       heat_bath_sweep, load_checkpoint, monotone_coupled_sweep,
-                       run_chain, sample_equilibrium, sandwich_diagnostic,
-                       save_checkpoint)
+                       load_checkpoint, monotone_coupled_sweep, run_chain,
+                       sample_equilibrium, sandwich_diagnostic, save_checkpoint)
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
                           local_conditional)
 
@@ -44,7 +43,7 @@ def test_singleton_support_sweep_is_identity():
     params = ModelParams(p=2, beta=1, floor_spec=0, ceiling_spec=0)
     cfg = SurfaceConfig.flat(3, floor=0, ceiling=0)
     st = ChainState(config=cfg, seed=1)
-    heat_bath_sweep(st, params)
+    run_chain(st, params, 1)
     assert np.array_equal(st.config.heights, np.zeros((3, 3), dtype=np.int32))
 
 
@@ -58,7 +57,7 @@ def test_replay_bit_exact():
     # one-sweep-at-a-time replay crosses uniform-block boundaries identically
     c = ChainState(config=SurfaceConfig.flat(4, floor=0), seed=42)
     for _ in range(137):
-        heat_bath_sweep(c, params)
+        run_chain(c, params, 1)
     assert np.array_equal(a.config.heights, c.config.heights)
 
 
@@ -157,6 +156,10 @@ def test_coupled_batch_matches_scalar_contract():
     pad_up[:, 1:L + 1, 1:L + 1] = pad_lo[:, 1:L + 1, 1:L + 1] + rng.integers(0, 3, size=(B, L, L))
     violations = coupled_batch_run(pad_lo, pad_up, params, seed=9, n_sweeps=30)
     assert violations == 0
+    # a grid of ring only (L = 0) is refused before the compiled sweep
+    ring_only = np.zeros((B, 2, 2), dtype=np.int64)
+    with pytest.raises(StructureError):
+        coupled_batch_run(ring_only, ring_only.copy(), params, seed=9, n_sweeps=1)
 
 
 def test_raising_floor_raises_field():
@@ -321,48 +324,59 @@ def _kernel_cases(rng, L):
 @pytest.mark.parametrize("beta", [0.8, 2.5])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_checkerboard_kernel_matches_scalar_draws(p, beta):
-    # both scans through run_chain's compiled sweep, every box of the cases
+    # both scans through run_chain's compiled sweep, every box of the cases,
+    # on odd sides and the one-site box as well as on an even side
     params = ModelParams(p=p, beta=beta)
-    L, seed = 12, 31
-    for scan in ("raster", "checkerboard"):
-        cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
-        for name, cfg in cases.items():
-            ref = cfg.copy()
-            state = ChainState(config=cfg, seed=seed, scan_order=scan)
-            us = UniformStream(seed, L * L)
-            for t in range(3):
-                run_chain(state, params, 1)
-                _reference_sweep(ref, params, us.sweep(t), scan)
-                assert np.array_equal(cfg.heights, ref.heights), (name, scan, t)
+    seed = 31
+    for L in (1, 2, 3, 12):
+        for scan in ("raster", "checkerboard"):
+            cases = _kernel_cases(np.random.default_rng(int(10 * p + beta)), L)
+            for name, cfg in cases.items():
+                ref = cfg.copy()
+                state = ChainState(config=cfg, seed=seed, scan_order=scan)
+                us = UniformStream(seed, L * L)
+                for t in range(3):
+                    run_chain(state, params, 1)
+                    _reference_sweep(ref, params, us.sweep(t), scan)
+                    assert np.array_equal(cfg.heights, ref.heights), (L, name, scan, t)
+
+
+def _scan(L, colours):
+    """The (colour, x, y) of one grid's sites in the order a sweep of the
+    given colour count (2 checkerboard, 1 raster) visits them."""
+    return [(c, x, y) for c in range(colours) for x in range(L)
+            for y in range((x + c) % colours, L, colours)]
 
 
 @pytest.mark.parametrize("L", range(1, 10))
-def test_blocks_partition_the_box_into_independent_sets(L):
-    for scan in ("raster", "checkerboard"):
-        blocks = [list(zip(xs.tolist(), ys.tolist()))
-                  for xs, ys in mcmc._blocks(L, scan)]
-        sites = [s for block in blocks for s in block]
-        assert sorted(sites) == [(x, y) for x in range(L) for y in range(L)]
-        if scan == "checkerboard":
-            # the two colours, even x + y first, each in (x, y) order: the
-            # masks of an ij meshgrid, array for array
-            assert len(blocks) == min(2, L * L)
-            assert all((x + y) % 2 == i for i, b in enumerate(blocks) for x, y in b)
-            xs, ys = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-            for c, (bx, by) in enumerate(mcmc._blocks(L, scan)):
-                colour = (xs + ys) % 2 == c
-                assert np.array_equal(bx, xs[colour])
-                assert np.array_equal(by, ys[colour])
-        block_of = {s: i for i, block in enumerate(blocks) for s in block}
-        for (x, y), i in block_of.items():
-            for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                j = block_of.get((x + dx, y + dy))
-                if j is None:
-                    continue
-                assert j != i, (scan, x, y)
-                if scan == "raster":
-                    # west and south neighbours earlier, east and north later
-                    assert (j < i) == (dx + dy < 0), (x, y, dx, dy)
+def test_sweep_visits_every_site_once_in_scan_order(L):
+    # every site of two grids pinned (floor = ceiling) at its own height, so
+    # a fresh p = 1.5 kernel meets a new key at each site and the routine
+    # stops there once: the stops are its visiting order, grid by grid, and
+    # within a grid the even colour row by row, then the odd one (raster:
+    # row-major), each stop encoded ((grid * colours + c) * L + x) * L + y
+    B = 2
+    pads = np.random.default_rng(L).choice(10 ** 6, size=(B, L + 2, L + 2),
+                                           replace=False).astype(np.int64)
+    pinned = pads[:, 1:L + 1, 1:L + 1]
+    call = mcmc._library().zgff_sweep
+    u = np.full(L * L, 0.5)
+    for scan, colours in (("raster", 1), ("checkerboard", 2)):
+        flat = pads.reshape(-1).copy()
+        kernel = mcmc._Kernel(ModelParams(p=1.5, beta=1.0))
+        sweep = mcmc._Sweep(kernel, flat, L, B, scan, pinned, pinned)
+        pos, stops = 0, []
+        while (pos := call(sweep.ctx.ctypes.data, u.ctypes.data, pos)) >= 0:
+            stops.append(pos)
+            kernel.add_missing()
+        order = _scan(L, colours)
+        assert stops == [((b * colours + c) * L + x) * L + y for b in range(B)
+                         for c, x, y in order], scan
+        assert np.array_equal(flat, pads.reshape(-1))
+        # that order covers the box once; a checkerboard colour is x + y mod 2
+        assert sorted((x, y) for _, x, y in order) == [(x, y) for x in range(L)
+                                                       for y in range(L)]
+        assert all((x + y) % colours == c for c, x, y in order)
 
 
 def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps,
@@ -497,15 +511,16 @@ def test_checkerboard_centre_marginal_matches_exact_3x3():
 
 
 def _one_site_draws(kernel, nb, u, lo, hi):
-    """The compiled sweep of one site with neighbours nb in each of len(u)
-    3x3 padded grids, grid j drawing with u[j]; returns the draws."""
-    B, W = len(u), 3
-    sites = np.arange(B) * W * W + W + 1
-    flat = np.zeros(B * W * W, dtype=np.int64)
-    for offset, v in zip((-W, W, -1, 1), nb):
-        flat[sites + offset] = v
-    mcmc._Sweep(kernel, flat, W, sites, np.arange(B), lo, hi)(u.ctypes.data)
-    return flat[sites].tolist()
+    """The compiled sweep of one L = 1 grid with neighbours nb, called once
+    with each uniform of u; returns the draws."""
+    flat = np.zeros(9, dtype=np.int64)
+    flat[[1, 7, 3, 5]] = nb   # the centre's -W, +W, -1 and +1 neighbours
+    sweep = mcmc._Sweep(kernel, flat, 1, 1, "raster", lo, hi)
+    draws = []
+    for j in range(len(u)):
+        sweep(u.ctypes.data + 8 * j)
+        draws.append(int(flat[4]))
+    return draws
 
 
 @pytest.mark.parametrize("beta", [0.8, 2.5])
@@ -598,21 +613,24 @@ def test_kernel_table_widens_mid_run(p):
     assert p == 2 or widths[2][1] > widths[2][0]
 
 
-def _site_by_site(flat, W, sites, uidx, lo, hi, u, params, positions):
-    """Draw the sites at the given positions of a sweep in turn, each from
-    local_conditional given flat (the reference for the compiled sweep)."""
-    for j in positions:
-        i = int(sites[j])
+def _site_by_site(flat, L, floor, u, params, sites):
+    """Draw the given (x, y) sites of a padded grid (flat) in turn, each from
+    local_conditional under its floor (an (L, L) array) with the uniform
+    y*L + x (the reference for the compiled sweep)."""
+    W = L + 2
+    for x, y in sites:
+        i = (x + 1) * W + y + 1
         nb = [int(flat[i + o]) for o in (-W, W, -1, 1)]
-        f, c = [b if b is None or np.ndim(b) == 0 else int(b[j]) for b in (lo, hi)]
-        flat[i] = local_conditional(nb, f, c, params).quantile(u[uidx[j]])
+        flat[i] = local_conditional(nb, int(floor[x, y]), None,
+                                    params).quantile(u[y * L + x])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_sweep_resumes_at_the_site_of_a_missing_row(p):
-    # a fresh kernel stops the sweep at every new key: the sites before the
-    # stop are drawn, the rest untouched, and the call after add_missing
-    # resumes at that site, inside a block as well as at its start
+    # a fresh kernel stops the checkerboard sweep at every new key: the
+    # sites before the stop are drawn, the rest untouched, and the call
+    # after add_missing resumes at that site, mid-row and in the odd colour
+    # as well as at the start
     params = ModelParams(p=p, beta=1.0)
     L, seed = 8, 5
     rng = np.random.default_rng(3)
@@ -621,28 +639,29 @@ def test_sweep_resumes_at_the_site_of_a_missing_row(p):
                         {s: int(rng.integers(-3, 4)) for s in build_boundary(("all", 0), L)},
                         floor=floor)
     flat = cfg.padded().reshape(-1)
-    W = L + 2
-    sites, uidx, lo, hi = mcmc._phases(L, mcmc._blocks(L, "checkerboard"),
-                                       cfg.floor, cfg.ceiling)
     kernel = mcmc._Kernel(params)
-    sweep = mcmc._Sweep(kernel, flat, W, sites, uidx, lo, hi)
+    sweep = mcmc._Sweep(kernel, flat, L, 1, "checkerboard", cfg.floor, None)
+    order = _scan(L, 2)
+    index = {(c * L + x) * L + y: j for j, (c, x, y) in enumerate(order)}
     u = UniformStream(seed, L * L).sweep(0)
     ref = flat.copy()
     call = mcmc._library().zgff_sweep
     pos, stops = 0, []
     while True:
         stop = call(sweep.ctx.ctypes.data, u.ctypes.data, pos)
-        end = len(sites) if stop < 0 else stop
-        _site_by_site(ref, W, sites, uidx, lo, hi, u, params, range(pos, end))
+        end = len(order) if stop < 0 else index[stop]
+        _site_by_site(ref, L, floor, u, params,
+                      [(x, y) for _, x, y in order[index[pos]:end]])
         assert np.array_equal(flat, ref), (pos, stop)
         if stop < 0:
             break
-        assert stop > pos or stop == pos == 0
-        stops.append(stop)
+        assert index[stop] > index[pos] or stop == pos == 0
+        stops.append(order[index[stop]])
         kernel.add_missing()
         pos = stop
-    assert stops[0] == 0
-    assert any(s not in (0, len(sites) // 2) for s in stops)
+    assert stops[0] == (0, 0, 0)
+    assert any(y > (x + c) % 2 for c, x, y in stops)
+    assert any(c == 1 for c, _, _ in stops)
 
 
 def test_general_key_table_grows_past_half_load_mid_sweep():
@@ -659,14 +678,13 @@ def test_general_key_table_grows_past_half_load_mid_sweep():
     ref = cfg.copy()
     flat = cfg.padded().reshape(-1)
     start = flat.copy()
-    phases = mcmc._phases(L, mcmc._blocks(L, "raster"), None, None)
     u = UniformStream(seed, L * L).sweep(0)
-    mcmc._Sweep(kernel, flat, L + 2, *phases)(u.ctypes.data)
+    mcmc._Sweep(kernel, flat, L, 1, "raster", None, None)(u.ctypes.data)
     _reference_sweep(ref, params, u, "raster")
     assert np.array_equal(flat.reshape(L + 2, L + 2)[1:L + 1, 1:L + 1], ref.heights)
     assert kernel.n_rows > 32 and len(kernel.lookup) >= 2 * kernel.n_rows
     filed = kernel.n_rows
-    mcmc._Sweep(kernel, start, L + 2, *phases)(u.ctypes.data)
+    mcmc._Sweep(kernel, start, L, 1, "raster", None, None)(u.ctypes.data)
     assert kernel.n_rows == filed
     assert np.array_equal(start, flat)
 
@@ -719,15 +737,24 @@ def test_second_chain_reuses_the_built_library(tmp_path, monkeypatch):
 
 
 def test_unwritable_cache_builds_into_a_temporary_directory(tmp_path, monkeypatch):
-    # a regular file where the cache directory should be
+    # a regular file where the cache directory should be: the library is
+    # built into a zgff-* temporary directory, loaded from there, and the
+    # directory removed, also when the build fails
+    from zgff.errors import BuildError
     (tmp_path / "cache").write_text("")
     _fresh_library(monkeypatch, tmp_path / "cache")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     state = ChainState(config=SurfaceConfig.flat(3), seed=2)
     run_chain(state, ModelParams(p=2, beta=1.0), 2)
     assert state.sweep_count == 2
-    [built] = tmp_path.glob("zgff-*/_sweep-*.so")
-    assert [f.name for f in built.parent.iterdir()] == [built.name]
+    loaded = mcmc._LIB._name
+    assert loaded.startswith(str(tmp_path / "zgff-")) and loaded.endswith(".so")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cache"]
+    monkeypatch.setattr(mcmc, "_LIB", None)
+    monkeypatch.setenv("PATH", "")
+    with pytest.raises(BuildError):
+        run_chain(state, ModelParams(p=2, beta=1.0), 1)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cache"]
 
 
 def test_missing_compiler_raises_build_error(tmp_path, monkeypatch):
