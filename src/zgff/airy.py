@@ -143,21 +143,6 @@ def airy(x):
     return _airy_taylor_from(-SERIES_CUT, x)
 
 
-def cross_check_band(lo=5.0, hi=7.0, n=41, tol=1e-8):
-    """Series and asymptotic evaluations must agree to tol (absolute) across
-    the overlap band; returns the worst discrepancy, raises on failure."""
-    worst = 0.0
-    for i in range(n):
-        x = lo + (hi - lo) * i / (n - 1)
-        a1, ap1 = airy_series(x)
-        a2, ap2 = _airy_asymptotic_pos(x)
-        d = max(abs(a1 - a2), abs(ap1 - ap2))
-        worst = max(worst, d)
-    if worst > tol:
-        raise ArithmeticError(f"airy cross-check band failed: {worst:.3e} > {tol:g}")
-    return worst
-
-
 def _bisect(fn, lo, hi, tol=1e-14, max_iter=200):
     flo = fn(lo)
     fhi = fn(hi)

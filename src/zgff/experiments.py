@@ -28,7 +28,7 @@ from .rw import (TiltedBridgeSpec, basic_increment_law, enumerated_increment_law
 from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
                      proxy_box_side)
 from .stats import correlation
-from .surface import build_boundary, write_snapshot
+from .surface import write_snapshot
 from .tension import tension_table, unit_wulff, wulff_from_table
 
 
@@ -254,7 +254,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
             sigmas[n] = math.sqrt(law.y_variance)
 
     rows = []
-    y0_by_level = {n: [] for n in range(m)}
+    y0_by_level = {n: {} for n in range(m)}   # level -> {snapshot index: Y(0)}
     missing = {n: [] for n in range(m)}
     sup_gaps = []
     for idx, snap in enumerate(snapshots):
@@ -279,7 +279,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
                 sup_gaps.append(sup_gap)
             mid = len(t) // 2
             if prof.covered[mid]:
-                y0_by_level[n].append(float(Y[mid]))
+                y0_by_level[n][idx] = float(Y[mid])
             for j in range(len(t)):
                 rows.append((idx, seed, n, float(t[j]),
                              None if not prof.covered[j] else float(prof.rho[j]),
@@ -296,7 +296,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
 
     ks_by_level = {}
     for n in range(m):
-        ys = np.asarray(y0_by_level[n])
+        ys = np.asarray(list(y0_by_level[n].values()))
         if len(ys) >= 10:
             model = FSModel(sigma=sigmas[n])
             ks_by_level[n] = float(ks_distance(ys, model))
@@ -306,10 +306,11 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
     if m >= 2:
         a = y0_by_level[0]
         b = y0_by_level[1]
-        k = min(len(a), len(b))
-        if k >= 10:
+        both = [idx for idx in a if idx in b]
+        if len(both) >= 10:
             try:
-                cross = float(correlation(a[:k], b[:k]))
+                cross = float(correlation([a[i] for i in both],
+                                          [b[i] for i in both]))
             except DegenerateInputError:
                 cross = None
     record = {

@@ -121,18 +121,6 @@ def fs_quantile(u, model: FSModel):
     return np.interp(u, model.cdf_grid, model.x_grid)
 
 
-def sample_path(model: FSModel, horizon, dt, x0, seed):
-    """Euler-Maruyama path of the diffusion, one trajectory.
-
-    A proposed step landing at or below 0 is handled by resampling its
-    Gaussian increment (the inward drift makes crossings vanishingly rare at
-    dt <= 1e-3, and rejection preserves positivity without first-order bias).
-    """
-    n_steps = int(round(horizon / dt))
-    paths = sample_paths(model, 1, n_steps, dt, x0, seed)
-    return paths[0]
-
-
 def sample_paths(model: FSModel, n_paths, n_steps, dt, x0, seed):
     """Vectorized ensemble of Euler-Maruyama paths, shape (n_paths, n_steps+1).
 

@@ -86,22 +86,6 @@ def macroscopic_threshold(L):
     return math.log(L) ** 2
 
 
-def disagreement_bond_set(config: SurfaceConfig, h):
-    """Brute-force set of level-h disagreement duals (the extraction oracle
-    must cover exactly this set)."""
-    L = config.L
-    g = config.padded()
-    below = g < h
-    bonds = set()
-    # vertical bonds (a, b, 'v') separate sites (a-1, b) | (a, b), b in 0..L-1
-    va, vb = np.nonzero(below[:L + 1, 1:L + 1] != below[1:L + 2, 1:L + 1])
-    bonds.update((int(a), int(b), "v") for a, b in zip(va, vb))
-    # horizontal bonds (a, b, 'h') separate sites (a, b-1) | (a, b), a in 0..L-1
-    ha, hb = np.nonzero(below[1:L + 1, :L + 1] != below[1:L + 1, 1:L + 2])
-    bonds.update((int(a), int(b), "h") for a, b in zip(ha, hb))
-    return bonds
-
-
 # Bond slots around a corner: W/E horizontal, S/N vertical, as bits 0-3 of
 # the corner's slot mask. Leaving corner (a, b) by a slot walks bond
 # (a + da, b + db, d) to corner (a + na, b + nb), which the line enters by

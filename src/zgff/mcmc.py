@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (BuildError, InvalidConstraintError, OrderingError,
                      StructureError)
-from .surface import (ModelParams, SurfaceConfig, conditional_tables,
-                      write_snapshot, read_snapshot)
+from .surface import ModelParams, SurfaceConfig, conditional_tables
 
 SCAN_ORDERS = ("raster", "checkerboard")
 
@@ -36,7 +35,9 @@ class UniformStream:
 
     Streams of one key and length share the last block any of them loaded
     (if it holds at most _BLOCK_TARGET uniforms), so chains that replay the
-    same sweeps, as CFTP's do, generate it once.
+    same sweeps, as CFTP's do, generate it once. A larger block (one sweep
+    of L > 256) is generated into one buffer the stream keeps, so the
+    vector of an earlier sweep is overwritten by the next load.
     """
 
     _last = (None, None)   # ((key, n, block id), block)
@@ -52,7 +53,14 @@ class UniformStream:
     def _load(self, g):
         counter = np.array([0, 0, 0, g % (1 << 64)], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=self.key, counter=counter))
-        self._block = gen.random(self.block_sweeps * self.n)
+        size = self.block_sweeps * self.n
+        if size <= _BLOCK_TARGET:
+            self._block = gen.random(size)
+        else:
+            # never shared through _last, so the stream refills its own buffer
+            if self._block is None:
+                self._block = np.empty(size)
+            gen.random(out=self._block)
         self._block_id = g
 
     def _offset(self, t):
@@ -547,41 +555,3 @@ def cftp_sample(params: ModelParams, L, seed, boundary, max_doublings=20):
             return slo.config
         T *= 2
     raise InvalidConstraintError(f"CFTP did not coalesce within 2^{max_doublings} sweeps")
-
-
-def save_checkpoint(path_prefix, state: ChainState, params: ModelParams,
-                    params_hash=""):
-    """Snapshot file plus a sidecar text record (seed, sweep count, scan
-    order, params hash, boundary)."""
-    write_snapshot(str(path_prefix) + ".snap", state.config, params)
-    lines = [
-        f"seed = {state.seed}",
-        f"sweep_count = {state.sweep_count}",
-        f"scan_order = {state.scan_order}",
-        f"chain_id = {state.chain_id}",
-        f"params_hash = {params_hash}",
-        "boundary = " + ";".join(f"{x},{y}:{v}" for (x, y), v in
-                                 sorted(state.config.boundary.items())),
-    ]
-    with open(str(path_prefix) + ".sidecar", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path_prefix):
-    with open(str(path_prefix) + ".sidecar") as fh:
-        kv = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            k, _, v = line.partition(" = ")
-            kv[k.strip()] = v.strip()
-    boundary = {}
-    for item in kv["boundary"].split(";"):
-        xy, _, v = item.partition(":")
-        x, _, y = xy.partition(",")
-        boundary[(int(x), int(y))] = int(v)
-    cfg, params = read_snapshot(str(path_prefix) + ".snap", boundary=boundary)
-    state = ChainState(config=cfg, seed=int(kv["seed"]),
-                       sweep_count=int(kv["sweep_count"]),
-                       scan_order=kv["scan_order"], chain_id=int(kv["chain_id"]))
-    return state, params, kv["params_hash"]

@@ -12,13 +12,14 @@ is kept alongside and validated against the oracle rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateInputError, InfeasibleError, ResourceLimitError,
                      StructureError)
 from .fs import FSModel, ks_distance
+from .tension import tension_l1_axis
 
 ORACLE_MAX_WIDTH = 20
 ORACLE_MAX_CAP = 40
@@ -82,15 +83,110 @@ def basic_increment_law(q):
                         probs=[1 - 2 * q, q, q], source=f"basic(q={q})")
 
 
+def enumerate_irreducible(beta, k_max=8, extra_len=12):
+    """All irreducible x-monotone pieces with |X|_1 <= k_max.
+
+    A piece runs from (0, 0) to (dx, dy), stays in the closed forward cone of
+    its start and backward cone of its end, and has no interior cone points
+    (m is a cone point of a piece when every other point q of it has
+    |q_y - m_y| <= |q_x - m_x|). Vertical runs are single-direction per
+    column (simple path) and total length is capped at |X|_1 + extra_len
+    (weight below e^(-beta*extra_len) is discarded, recorded as truncated
+    mass by the caller).
+
+    Returns {(dx, dy): [(n_bonds, multiplicity), ...]}.
+    """
+    out = {}
+    for dx in range(1, k_max + 1):
+        for dy in range(-(k_max - dx), k_max - dx + 1):
+            if abs(dy) > dx:
+                continue
+            paths = _paths_in_cones(dx, dy, dx + abs(dy) + extra_len)
+            counts = {}
+            for pts in paths:
+                if _has_interior_cone_point(pts):
+                    continue
+                nb = len(pts) - 1
+                counts[nb] = counts.get(nb, 0) + 1
+            if counts:
+                out[(dx, dy)] = sorted(counts.items())
+    return out
+
+
+def _paths_in_cones(dx, dy, max_bonds):
+    """x-monotone corner sequences (0,0) -> (dx,dy) inside both cones.
+
+    A column holds at most one single-direction vertical run (simple path);
+    the forward cone pins y = 0 at column 0 and the backward cone pins
+    y = dy at column dx, so runs only occur at interior columns.
+    """
+    results = []
+
+    def ok(x, y):
+        return abs(y) <= x and abs(y - dy) <= dx - x
+
+    def rec(x, y, pts, n_bonds):
+        if x == dx:
+            if y == dy:
+                results.append(pts)
+            return
+        if n_bonds + 1 <= max_bonds and ok(x + 1, y):
+            rec(x + 1, y, pts + [(x + 1, y)], n_bonds + 1)
+        if x > 0:
+            for sgn in (1, -1):
+                run = []
+                yy = y
+                while True:
+                    yy += sgn
+                    if not ok(x, yy):
+                        break
+                    run.append((x, yy))
+                    nb = n_bonds + len(run) + 1
+                    if nb > max_bonds:
+                        break
+                    if ok(x + 1, yy):
+                        rec(x + 1, yy, pts + run + [(x + 1, yy)], nb)
+
+    rec(0, 0, [(0, 0)], 0)
+    return results
+
+
+def _has_interior_cone_point(pts):
+    for m in pts[1:-1]:
+        mx, my = m
+        if all(abs(q[1] - my) <= abs(q[0] - mx) for q in pts if q != m):
+            return True
+    return False
+
+
+def irreducible_increment_weights(beta, k_max=8, extra_len=12, tension_l1=None):
+    """Normalized irreducible-component weights e^(h.X) q(Gamma).
+
+    h = grad tau at (1, 0) is (tau_l1(0), 0) for the truncated model, so a
+    piece of displacement (dx, dy) and n bonds carries weight
+    exp(tau_l1(0) * dx - beta * n). Returns (law dict {X: prob-mass}, total),
+    where total <= 1 is the truncated OZ normalization sum.
+    """
+    if tension_l1 is None:
+        tension_l1 = tension_l1_axis(beta)
+    table = enumerate_irreducible(beta, k_max=k_max, extra_len=extra_len)
+    law = {}
+    for (dx, dy), counts in table.items():
+        w = sum(mult * math.exp(tension_l1 * dx - beta * nb) for nb, mult in counts)
+        law[(dx, dy)] = w
+    total = sum(law.values())
+    return law, total
+
+
 def enumerated_increment_law(beta, n=0, p=2.0, k_max=8, extra_len=12):
-    """Normalized irreducible-component weights from the polymer enumeration.
+    """Normalized irreducible-component weights from the irreducible-piece
+    enumeration.
 
     Reports the truncated mass 1 - sum and a fit of the exponential tail of
     the |X|_1 mass profile. Status warning when more than 10% is truncated.
     """
     if k_max > 8:
         raise ResourceLimitError("k_max above the stated desk-scale cap of 8")
-    from .polymer import irreducible_increment_weights
     law_w, total = irreducible_increment_weights(beta, k_max=k_max,
                                                  extra_len=extra_len)
     steps = sorted(law_w)

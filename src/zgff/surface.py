@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp
 
 import numpy as np
@@ -395,8 +395,8 @@ def write_snapshot(path, config: SurfaceConfig, params: ModelParams):
       int32 x L^2 per-site floor grid    (present iff floor flag == 2)
       int32 x L^2 per-site ceiling grid  (present iff ceiling flag == 2)
 
-    The boundary ring is not part of the snapshot; checkpoints carry it in
-    the sidecar record.
+    The boundary ring is not part of the snapshot; read_snapshot takes it
+    as an argument.
     """
     def flag_of(b):
         if b is None:

@@ -1,5 +1,4 @@
-"""Surface tension of the directed polymer ensemble, Wulff geometry, and the
-closed-form droplet-growth evaluators.
+"""Surface tension of the directed polymer ensemble and its Wulff geometry.
 
 The tension is minus the per-unit-L1-length exponential rate of the polymer
 partition function between two points. The estimator here evaluates that
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InfeasibleError, StructureError
+from .errors import InfeasibleError, StructureError
 
 
 def log_partition_directed(M, Y, beta):
@@ -240,106 +239,3 @@ def unit_wulff(verts):
     """Rescale a Wulff body to unit area."""
     s = 1.0 / math.sqrt(polygon_area(verts))
     return [(x * s, y * s) for (x, y) in verts]
-
-
-def wulff_functional_w1(verts_unit, tau_of_theta):
-    """w1 = integral of tau(normal direction) over the unit-area boundary,
-    edge by edge."""
-    w1 = 0.0
-    m = len(verts_unit)
-    for i in range(m):
-        x0, y0 = verts_unit[i]
-        x1, y1 = verts_unit[(i + 1) % m]
-        ex, ey = x1 - x0, y1 - y0
-        length = math.hypot(ex, ey)
-        if length == 0:
-            continue
-        theta_n = math.atan2(ex, -ey)  # outward normal for ccw orientation
-        w1 += tau_of_theta(theta_n) * length
-    return w1
-
-
-def _convex_hull(points):
-    """Andrew monotone chain; returns ccw hull without the repeated point."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
-
-
-def shape_union(verts_unit, ell, r, square=1.0):
-    """Union of all translates of ell * (unit Wulff body) inside the square
-    [0, s]^2, dilated by (1 + r): flat sides with Wulff arcs at the corners.
-
-    Computed as the Minkowski sum of the admissible-center rectangle with
-    the scaled body (the union of translates of a convex body K inside S is
-    (S eroded by K) + K). Returns the ccw vertex list; raises when the body
-    does not fit.
-    """
-    K = [(ell * x, ell * y) for (x, y) in verts_unit]
-    wx_hi = max(x for x, _ in K)
-    wx_lo = -min(x for x, _ in K)
-    wy_hi = max(y for _, y in K)
-    wy_lo = -min(y for _, y in K)
-    if wx_hi + wx_lo >= square or wy_hi + wy_lo >= square:
-        raise InfeasibleError("scaled body does not fit inside the square")
-    centers = [(wx_lo, wy_lo), (square - wx_hi, wy_lo),
-               (square - wx_hi, square - wy_hi), (wx_lo, square - wy_hi)]
-    sums = [(cx + kx, cy + ky) for (cx, cy) in centers for (kx, ky) in K]
-    hull = _convex_hull(sums)
-    return [((1.0 + r) * x, (1.0 + r) * y) for (x, y) in hull]
-
-
-def wulff_midpoint_drop(d, theta, tau, tau_second, w1):
-    """Vertical sagitta of a chord of length d at angle theta on the
-    unit-area Wulff boundary, to leading order:
-    w1 d^2 / (16 (tau + tau'') cos theta). The 1 + O(d^2) bracket is the
-    caller's to remember."""
-    if tau + tau_second <= 0:
-        raise InfeasibleError("tau + tau'' must be positive (strict convexity)")
-    return w1 * d * d / (16.0 * (tau + tau_second) * math.cos(theta))
-
-
-def growth_gadget_params(N_n, a, theta, tau, tau_second, L):
-    """The (Y, sigma^2) pair of the droplet-growth estimate:
-    Y = -N^(1/3) (log L)^(2a) / (8 (tau+tau'') cos^3 theta),
-    sigma^2 = N^(2/3) (log L)^a / (4 (tau+tau'') cos^3 theta)."""
-    if tau + tau_second <= 0:
-        raise InfeasibleError("tau + tau'' must be positive")
-    if not 0 <= theta <= math.pi / 4:
-        raise StructureError("theta outside [0, pi/4]")
-    denom = (tau + tau_second) * math.cos(theta) ** 3
-    logL = math.log(L)
-    Y = -N_n ** (1.0 / 3.0) * logL ** (2 * a) / (8.0 * denom)
-    sigma2 = N_n ** (2.0 / 3.0) * logL ** a / (4.0 * denom)
-    return Y, sigma2
-
-
-def g_mu(ell, theta, mu, N_n, tau, tau_second):
-    """-tau(theta) ell + ell^3 mu^2 / (24 (tau+tau'') N_n^2)."""
-    if tau + tau_second <= 0:
-        raise InfeasibleError("tau + tau'' must be positive")
-    return -tau * ell + ell ** 3 * mu ** 2 / (24.0 * (tau + tau_second) * N_n ** 2)
-
-
-def ell_n(w1, N_n, L, delta=0.1):
-    """Starting Wulff radius of the growth procedure: w1 N_n / (2 (1-delta) L)."""
-    return w1 * N_n / (2.0 * (1.0 - delta) * L)
-
-
-def kappa_nb(N_n, L, b):
-    """Shrink margin per growth round: N_n^(1/3) (log L)^b / L."""
-    return N_n ** (1.0 / 3.0) * math.log(L) ** b / L

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from zgff.airy import (AI0, airy, airy_prime_first_zero, airy_series,
-                       cross_check_band, omega1)
+from zgff.airy import (AI0, _airy_asymptotic_pos, airy, airy_prime_first_zero,
+                       airy_series, omega1)
 from zgff.errors import DegenerateInputError, StructureError
 from zgff.fs import (FSModel, fs_cdf, fs_density, fs_drift, fs_quantile,
-                     ks_distance, sample_path, sample_paths,
-                     zero_flux_residual)
+                     ks_distance, sample_paths, zero_flux_residual)
 
 
 def test_ai_at_zero_closed_form():
@@ -50,8 +49,12 @@ def test_omega1_and_aiprime_zero():
         float(special.ai_zeros(1)[1][0]) * -1.0, abs=1e-8)
 
 
-def test_series_asymptotic_cross_check_band():
-    assert cross_check_band(5.0, 7.0) <= 1e-8
+def test_series_asymptotic_agree_on_overlap_band():
+    # the series and the positive-axis asymptotics agree across their overlap
+    for x in np.linspace(5.0, 7.0, 41):
+        a1, ap1 = airy_series(float(x))
+        a2, ap2 = _airy_asymptotic_pos(float(x))
+        assert max(abs(a1 - a2), abs(ap1 - ap2)) <= 1e-8, x
 
 
 def test_density_zero_at_and_below_origin():
@@ -145,12 +148,13 @@ def test_cdf_quantile_inverse():
 
 def test_sample_path_replay_and_positivity():
     m = FSModel(sigma=1.0)
-    p1 = sample_path(m, 5.0, 1e-3, x0=1.0, seed=9)
-    p2 = sample_path(m, 5.0, 1e-3, x0=1.0, seed=9)
+    p1 = sample_paths(m, 2, 5000, 1e-3, x0=1.0, seed=9)
+    p2 = sample_paths(m, 2, 5000, 1e-3, x0=1.0, seed=9)
+    assert p1.shape == (2, 5001)
     assert np.array_equal(p1, p2)
     assert np.all(p1 > 0)
     with pytest.raises(StructureError):
-        sample_path(m, 1.0, 1e-3, x0=-1.0, seed=0)
+        sample_paths(m, 1, 1000, 1e-3, x0=-1.0, seed=0)
 
 
 def test_path_marginals_match_density():

@@ -1,6 +1,4 @@
 import json
-import math
-import os
 
 import numpy as np
 import pytest
@@ -74,26 +72,52 @@ def test_endtoend_reports_missing_levels(tmp_path):
     assert rec["snapshots_missing_level"]["0"] == [3]
 
 
-def test_endtoend_cross_level_correlation(tmp_path):
+def _two_level_run(out_dir, skip_level_2=()):
+    """40 mocked two-level snapshots; those indexed in skip_level_2 have no
+    level-2 plateau, so level n = 0 is missing there."""
     cfg = ExperimentConfig.default()
     cfg.set("pipeline", "name", "endtoend")
     cfg.set("lattice", "L", 32)
     cfg.set("run", "levels", 2)
     rng = np.random.default_rng(7)
     snaps = []
-    for _ in range(40):
+    for idx in range(40):
         c = SurfaceConfig.flat(32)
         d1 = int(rng.integers(1, 4))
         d2 = int(rng.integers(d1 + 1, 7))
         c.heights[1:31, d1:31] = 1    # both level lines fluctuate
-        c.heights[8:24, d2:28] = 2
+        if idx not in skip_level_2:
+            c.heights[8:24, d2:28] = 2
         snaps.append(c)
     table = ScaleTable(L=32, H=2, N=[27.0, 8.0], L_h={1: 50, 2: 500},
                        bad_intervals=[], L_in_bad_set=False, threshold=0.1)
-    arts, summary = run_end_to_end(cfg, tmp_path, snapshots=snaps,
-                                   scale_table=table)
+    return run_end_to_end(cfg, out_dir, snapshots=snaps, scale_table=table)
+
+
+def test_endtoend_cross_level_correlation(tmp_path):
+    arts, summary = _two_level_run(tmp_path)
     assert summary["cross_level_corr_Y0"] is not None
     assert -1.0 <= summary["cross_level_corr_Y0"] <= 1.0
+
+
+def test_endtoend_cross_level_correlation_pairs_by_snapshot(tmp_path):
+    # level 0 is missing from every 5th snapshot: Y(0) of the two levels must
+    # still be paired snapshot by snapshot, not position by position
+    skipped = range(0, 40, 5)
+    _, summary = _two_level_run(tmp_path, skip_level_2=skipped)
+    rows = [line.split(",") for line in
+            (tmp_path / "profiles.csv").read_text().splitlines()[2:]]
+    by_level = {}
+    for idx, _, n, t, _, _, y in rows:
+        if float(t) == 0.0 and y:
+            by_level.setdefault(int(n), {})[int(idx)] = float(y)
+    assert not set(skipped) & set(by_level[0])
+    both = sorted(set(by_level[0]) & set(by_level[1]))
+    assert len(both) == 32
+    expected = np.corrcoef([by_level[0][i] for i in both],
+                           [by_level[1][i] for i in both])[0, 1]
+    assert summary["cross_level_corr_Y0"] == pytest.approx(expected, abs=1e-12)
+    assert summary["cross_level_corr_Y0"] == pytest.approx(0.435, abs=1e-3)
 
 
 def test_csv_rows_carry_snapshot_and_seed(tmp_path):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import disagreement_duals_reference
 from zgff.errors import CoverageError, StructureError
-from zgff.levellines import (LevelLoop, disagreement_bond_set, enclosed_region,
-                             extract_level_lines, loops_to_records,
-                             macroscopic_threshold, nesting_report, profile,
-                             rescale, top_level_loop)
+from zgff.levellines import (LevelLoop, enclosed_region, extract_level_lines,
+                             loops_to_records, macroscopic_threshold,
+                             nesting_report, profile, rescale, top_level_loop)
 from zgff.surface import SurfaceConfig, build_boundary
 
 
@@ -353,7 +352,8 @@ def test_enclosed_region_is_vertical_bond_parity():
             cfg.boundary = {s: int(v) for s, v in zip(
                 ring0, rng.integers(h, h + 3, size=len(ring0)) if rng.random() < 0.5
                 else rng.integers(h - 3, h, size=len(ring0)))}
-            verticals = [(a, b) for a, b, d in disagreement_bond_set(cfg, h) if d == "v"]
+            verticals = [(a, b) for a, b, d in
+                         disagreement_duals_reference(cfg.padded(), h) if d == "v"]
             expected = {(x, b) for x in range(8) for b in range(8)
                         if sum(1 for a, bb in verticals if bb == b and a <= x) % 2}
             assert enclosed_region(cfg, h) == expected

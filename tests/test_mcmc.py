@@ -8,8 +8,8 @@ from oracles import box_center_marginal_exact, gibbs_2x2_exact
 from zgff import mcmc
 from zgff.errors import InvalidConstraintError, OrderingError, StructureError
 from zgff.mcmc import (ChainState, UniformStream, cftp_sample, coupled_batch_run,
-                       load_checkpoint, monotone_coupled_sweep, run_chain,
-                       sample_equilibrium, sandwich_diagnostic, save_checkpoint)
+                       monotone_coupled_sweep, run_chain, sample_equilibrium,
+                       sandwich_diagnostic)
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
                           local_conditional)
 
@@ -251,16 +251,16 @@ def test_cftp_requires_ceiling_and_matches_gibbs():
     assert tv < 0.12  # perfect samples, TV ~ sqrt(81/n) noise
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_resumed_chain_equals_one_run():
+    # a ChainState carries everything a chain needs to resume: 10 + 10 sweeps
+    # on one state equal 20 sweeps on a fresh one
     params = ModelParams(p=2, beta=1.1, floor_spec=0)
     a = ChainState(config=SurfaceConfig.flat(4, floor=0), seed=21)
     run_chain(a, params, 10)
-    save_checkpoint(tmp_path / "ck", a, params, params_hash="abc123")
     run_chain(a, params, 10)
-    b, params_b, h = load_checkpoint(tmp_path / "ck")
-    assert h == "abc123"
-    assert b.sweep_count == 10
-    run_chain(b, params_b, 10)
+    b = ChainState(config=SurfaceConfig.flat(4, floor=0), seed=21)
+    run_chain(b, params, 20)
+    assert a.sweep_count == b.sweep_count == 20
     assert np.array_equal(a.config.heights, b.config.heights)
 
 
@@ -586,6 +586,19 @@ def test_uniform_streams_share_blocks_without_mixing_them(monkeypatch):
     u = UniformStream(6, 16).sweep(4099)
     assert loads[-1] == 1 and len(loads) == 7
     assert np.array_equal(u, reference(6, 0, 16, 4099))
+
+
+def test_uniform_stream_refills_one_buffer_past_the_block_target():
+    # a sweep longer than _BLOCK_TARGET is a block of its own, never shared,
+    # so the stream generates every sweep into the same buffer
+    n = mcmc._BLOCK_TARGET + 7
+    us = UniformStream(8, n, chain=2)
+    assert us.block_sweeps == 1
+    address = us.address(0)
+    for t in (0, 1, 2, 5, 3):
+        u = us.sweep(t)
+        assert us.address(t) == address
+        assert np.array_equal(u, UniformStream(8, n, chain=2).sweep(t)), t
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

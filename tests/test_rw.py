@@ -7,8 +7,9 @@ from zgff.errors import (DegenerateInputError, InfeasibleError,
                          ResourceLimitError, StructureError)
 from zgff.fs import FSModel, fs_quantile
 from zgff.rw import (IncrementLaw, TiltedBridgeSpec, basic_increment_law,
-                     enumerate_bridge, enumerated_increment_law,
-                     fs_comparison, sample_tilted_bridge,
+                     enumerate_bridge, enumerate_irreducible,
+                     enumerated_increment_law, fs_comparison,
+                     irreducible_increment_weights, sample_tilted_bridge,
                      transfer_matrix_exact)
 
 
@@ -42,6 +43,43 @@ def test_enumerated_law_properties():
     assert v7 < v5                    # sigma^2 decreasing in beta
     with pytest.raises(ResourceLimitError):
         enumerated_increment_law(6.0, k_max=9)
+
+
+def test_enumerate_irreducible_small_displacements():
+    table = enumerate_irreducible(4.0, k_max=4)
+    assert table[(1, 0)] == [(1, 1)]          # the single horizontal bond
+    assert table[(2, 1)] == [(3, 1)]          # E,U,E corner piece
+    assert table[(2, -1)] == [(3, 1)]
+    assert (2, 0) not in table                # E,E splits at the middle point
+    assert (1, 1) not in table                # no room inside the cones
+
+
+def test_oz_normalization_monotone_in_truncation():
+    beta = 6.0
+    totals = []
+    for k in (2, 4, 6, 8):
+        _, total = irreducible_increment_weights(beta, k_max=k)
+        totals.append(total)
+    assert all(a <= b + 1e-15 for a, b in zip(totals, totals[1:]))
+    assert totals[-1] <= 1.0 + 1e-12
+    assert 1.0 - totals[2] < 1e-3            # truncated mass at k_max = 6
+
+
+def test_increment_law_moments():
+    law, total = irreducible_increment_weights(6.0, k_max=6)
+    mean_x = sum(X[0] * w for X, w in law.items()) / total
+    mean_y = sum(X[1] * w for X, w in law.items()) / total
+    assert mean_x > 0
+    assert abs(mean_y) < 1e-12
+    var4 = _variance(*irreducible_increment_weights(6.0, k_max=4))
+    var8 = _variance(*irreducible_increment_weights(6.0, k_max=8))
+    assert var8 > 0
+    assert abs(var8 - var4) / var8 < 0.02
+
+
+def _variance(law, total):
+    mean_y = sum(X[1] * w for X, w in law.items()) / total
+    return sum(X[1] ** 2 * w for X, w in law.items()) / total - mean_y ** 2
 
 
 def test_unit_step_projection():

@@ -6,11 +6,9 @@ import pytest
 
 from oracles import enumerate_directed_paths_weight
 from zgff.errors import InfeasibleError, StructureError
-from zgff.tension import (DEFAULT_DIRECTIONS, estimate_tension,
-                          finite_size_drift, g_mu, growth_gadget_params,
-                          kappa_nb, ell_n, log_partition_directed,
-                          polygon_area, tension_l1_axis, tension_table,
-                          unit_wulff, wulff_functional_w1, wulff_midpoint_drop,
+from zgff.tension import (estimate_tension, finite_size_drift,
+                          log_partition_directed, polygon_area,
+                          tension_l1_axis, tension_table, unit_wulff,
                           wulff_shape)
 
 
@@ -95,8 +93,6 @@ def test_wulff_isotropic_disk():
     assert polygon_area(poly) == pytest.approx(math.pi * c * c, rel=5e-4)
     u = unit_wulff(poly)
     assert polygon_area(u) == pytest.approx(1.0, rel=1e-12)
-    w1 = wulff_functional_w1(u, lambda th: c)
-    assert w1 == pytest.approx(2 * math.sqrt(math.pi) * c, rel=5e-4)
 
 
 def test_wulff_square_from_l1_support():
@@ -139,67 +135,3 @@ def test_wulff_from_estimated_tension_is_convex():
     # pi/2-rotation symmetry of the body built from the folded table
     vset = {(round(x, 9), round(y, 9)) for x, y in poly}
     assert {(round(-y, 9), round(x, 9)) for x, y in poly} == vset
-
-
-def test_midpoint_drop_plugin_and_homogeneity():
-    assert wulff_midpoint_drop(0.1, 0.0, 1.0, 1.0, 4.0) == pytest.approx(0.00125)
-    r = wulff_midpoint_drop(0.2, 0.0, 1.0, 1.0, 4.0) / wulff_midpoint_drop(
-        0.1, 0.0, 1.0, 1.0, 4.0)
-    assert r == pytest.approx(4.0)
-    with pytest.raises(InfeasibleError):
-        wulff_midpoint_drop(0.1, 0.0, 1.0, -2.0, 4.0)
-
-
-def test_midpoint_drop_circle_sagitta():
-    # unit-area disk: tau = c (so tau'' = 0), w1 = 2 sqrt(pi) c; the chord
-    # sagitta of the radius-1/sqrt(pi) circle matches to O(d^4)
-    c = 1.3
-    r = 1.0 / math.sqrt(math.pi)
-    for d in (0.02, 0.05, 0.1):
-        sagitta = r - math.sqrt(r * r - (d / 2) ** 2)
-        drop = wulff_midpoint_drop(d, 0.0, c, 0.0, 2 * math.sqrt(math.pi) * c)
-        assert abs(drop - sagitta) < 2.0 * d ** 4
-
-
-def test_growth_gadget_params():
-    Y, s2 = growth_gadget_params(1000.0, 5, 0.0, 1.0, 1.0, 100000)
-    logL = math.log(100000)
-    assert Y == pytest.approx(-1000 ** (1 / 3) * logL ** 10 / 16.0)
-    assert s2 == pytest.approx(1000 ** (2 / 3) * logL ** 5 / 8.0)
-    # internal consistency: Y = -sigma^2 (log L)^a / (2 N^{1/3})
-    assert Y == pytest.approx(-s2 * logL ** 5 / (2 * 1000 ** (1 / 3)), rel=1e-12)
-    with pytest.raises(InfeasibleError):
-        growth_gadget_params(1000.0, 5, 0.0, 1.0, -1.5, 100000)
-    with pytest.raises(StructureError):
-        growth_gadget_params(1000.0, 5, 1.0, 1.0, 1.0, 100000)
-
-
-def test_g_mu_and_helpers():
-    assert g_mu(5.0, 0.0, 0.0, 100.0, 1.3, 0.4) == pytest.approx(-6.5)
-    assert g_mu(2.0, 0.0, 3.0, 10.0, 1.0, 1.0) == pytest.approx(
-        -2.0 + 8.0 * 9.0 / (24.0 * 2.0 * 100.0))
-    assert ell_n(4.0, 100.0, 1000.0) == pytest.approx(4.0 * 100 / (2 * 0.9 * 1000))
-    assert kappa_nb(1000.0, 10000.0, 2) == pytest.approx(
-        10.0 * math.log(10000.0) ** 2 / 10000.0)
-
-
-def test_shape_union_rounded_square():
-    from zgff.tension import shape_union, _convex_hull
-    angles, taus = _circle_table(1.0, 96)
-    body = unit_wulff(wulff_shape(angles, taus))   # ~unit-area disk
-    ell = 0.2
-    verts = shape_union(body, ell, 0.0)
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
-    # flat portions reach the square sides; corners are rounded inward
-    assert max(xs) == pytest.approx(1.0, abs=1e-9)
-    assert min(ys) == pytest.approx(0.0, abs=1e-9)
-    area = polygon_area(verts)
-    r_disk = ell / math.sqrt(math.pi)
-    # square minus the four rounded corners (4 - pi) r^2, up to polygonization
-    assert area == pytest.approx(1.0 - (4.0 - math.pi) * r_disk ** 2, rel=2e-3)
-    # dilation factor
-    verts2 = shape_union(body, ell, 0.5)
-    assert polygon_area(verts2) == pytest.approx(2.25 * area, rel=1e-12)
-    with pytest.raises(InfeasibleError):
-        shape_union(body, 2.0, 0.0)
