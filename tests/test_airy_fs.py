@@ -49,7 +49,7 @@ def test_omega1_and_aiprime_zero():
         float(special.ai_zeros(1)[1][0]) * -1.0, abs=1e-8)
 
 
-def test_series_asymptotic_agree_on_overlap_band():
+def test_series_asymptotic_cross_check_band():
     # the series and the positive-axis asymptotics agree across their overlap
     for x in np.linspace(5.0, 7.0, 41):
         a1, ap1 = airy_series(float(x))

@@ -251,9 +251,9 @@ def test_cftp_requires_ceiling_and_matches_gibbs():
     assert tv < 0.12  # perfect samples, TV ~ sqrt(81/n) noise
 
 
-def test_resumed_chain_equals_one_run():
-    # a ChainState carries everything a chain needs to resume: 10 + 10 sweeps
-    # on one state equal 20 sweeps on a fresh one
+def test_checkpoint_roundtrip():
+    # a ChainState is its own checkpoint: it carries everything a chain needs
+    # to resume, so 10 + 10 sweeps on one state equal 20 sweeps on a fresh one
     params = ModelParams(p=2, beta=1.1, floor_spec=0)
     a = ChainState(config=SurfaceConfig.flat(4, floor=0), seed=21)
     run_chain(a, params, 10)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from zgff.config import ExperimentConfig, RunManifest, model_params_from
 from zgff.errors import ConfigError, DegenerateInputError
 from zgff.fs import FSModel, fs_quantile
-from zgff.stats import (batch_means_ci, correlation, effective_sample_size,
+from zgff.stats import (batch_means_ci, block_bootstrap_ci, correlation,
+                        effective_sample_size, empirical_cdf, evaluate_ecdf,
                         integrated_autocorr_time, paired_bootstrap_corr_ci)
 
 
@@ -24,6 +26,15 @@ def test_correlation_degenerate_inputs():
         correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def test_empirical_cdf():
+    xs, F = empirical_cdf([3.0, 1.0, 2.0])
+    assert list(xs) == [1.0, 2.0, 3.0]
+    assert list(F) == pytest.approx([1 / 3, 2 / 3, 1.0])
+    assert evaluate_ecdf(xs, 2.5) == pytest.approx(2 / 3)
+    with pytest.raises(DegenerateInputError):
+        empirical_cdf([])
+
+
 def test_integrated_autocorr_ar1():
     rng = np.random.default_rng(1)
     rho = 0.5
@@ -37,6 +48,15 @@ def test_integrated_autocorr_ar1():
     expect = 0.5 + rho / (1 - rho)   # 1.5 for rho = 0.5
     assert tau == pytest.approx(expect, rel=0.2)
     assert effective_sample_size(x) == pytest.approx(n / (2 * tau))
+
+
+def test_bootstrap_ci_width_scales():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=6400)
+    _, (lo1, hi1) = block_bootstrap_ci(x[:400], block=1, seed=3)
+    _, (lo2, hi2) = block_bootstrap_ci(x, block=1, seed=3)
+    ratio = (hi1 - lo1) / (hi2 - lo2)
+    assert 2.8 < ratio < 5.5          # sqrt(16) = 4 up to bootstrap noise
 
 
 def test_bootstrap_corr_ci_calibration():
