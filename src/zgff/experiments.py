@@ -117,8 +117,9 @@ def run_fs(cfg, out_dir):
     model = FSModel(sigma=sigma)
     xs = np.linspace(0.0, model.x_max, 2001)
     lines = [f"# config_hash={cfg.hash()}", "x,pdf,cdf"]
-    for x in xs:
-        lines.append(f"{float(x)!r},{fs_density(float(x), model)!r},{float(fs_cdf(x, model))!r}")
+    for x, pdf, cdf in zip(xs.tolist(), fs_density(xs, model).tolist(),
+                           fs_cdf(xs, model).tolist()):
+        lines.append(f"{x!r},{pdf!r},{cdf!r}")
     _write_lines(os.path.join(out_dir, "fs_table.csv"), lines)
     paths = sample_paths(model, cfg.get("fs", "paths"),
                          cfg.get("fs", "steps") // cfg.get("fs", "paths"),

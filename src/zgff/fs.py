@@ -3,9 +3,10 @@
 For scale sigma > 0 put c = (2/sigma^2)^(1/3) and phi(x) = Ai(c x - omega1).
 The diffusion has generator (sigma^2/2) d^2/dx^2 + sigma^2 (phi'/phi) d/dx
 with Dirichlet boundary at 0; it is ergodic and reversible with respect to
-the density proportional to phi(x)^2 on x > 0. The normalization is fixed
-numerically by quadrature (the closed form c / Ai'(-omega1)^2 is kept as a
-consistency check rather than trusted).
+the density proportional to phi(x)^2 on x > 0. The normalization is the
+total of the composite Simpson sum that also gives the cached cdf (the
+closed form c / Ai'(-omega1)^2 is kept as a consistency check rather than
+trusted). Density, drift and cdf take a scalar or an array of points.
 """
 
 from __future__ import annotations
@@ -19,24 +20,6 @@ from .airy import airy, omega1, airy_prime_first_zero
 from .errors import DegenerateInputError, StructureError
 
 CDF_GRID_POINTS = 10_000
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + rec(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
 
 
 @dataclass
@@ -59,17 +42,17 @@ class FSModel:
         c = self.scale
         # Ai(u)^2 ~ exp(-(4/3) u^(3/2)): u = 14 leaves ~1e-31 of mass outside
         self.x_max = (w1 + 14.0) / c
-        raw = lambda x: airy(c * x - w1)[0] ** 2
-        integral = _adaptive_simpson(raw, 0.0, self.x_max, 1e-12)
-        self.normalization = 1.0 / integral
         self.x_grid = np.linspace(0.0, self.x_max, CDF_GRID_POINTS)
-        self.pdf_grid = np.array([self.normalization * raw(x) for x in self.x_grid])
-        # composite Simpson accumulation on the cached grid
+        # composite Simpson on the cached grid: its total is the normalization
+        # integral, its partial sums the cdf
         h = self.x_grid[1] - self.x_grid[0]
         mids = 0.5 * (self.x_grid[:-1] + self.x_grid[1:])
-        pdf_mid = np.array([self.normalization * raw(x) for x in mids])
-        panel = h / 6.0 * (self.pdf_grid[:-1] + 4.0 * pdf_mid + self.pdf_grid[1:])
+        raw = airy(c * self.x_grid - w1)[0] ** 2
+        raw_mid = airy(c * mids - w1)[0] ** 2
+        panel = h / 6.0 * (raw[:-1] + 4.0 * raw_mid + raw[1:])
         cdf = np.concatenate([[0.0], np.cumsum(panel)])
+        self.normalization = 1.0 / cdf[-1]
+        self.pdf_grid = self.normalization * raw
         self.cdf_grid = np.minimum(cdf / cdf[-1], 1.0)
 
     @property
@@ -77,7 +60,8 @@ class FSModel:
         return (2.0 / self.sigma ** 2) ** (1.0 / 3.0)
 
     def closed_form_normalization(self):
-        """c / Ai'(-omega1)^2; compared against the quadrature in tests."""
+        """c / Ai'(-omega1)^2; compared against the Simpson normalization in
+        tests."""
         return self.scale / self.ai_prime_at_minus_omega1 ** 2
 
     def argmax(self):
@@ -87,23 +71,22 @@ class FSModel:
 
 
 def fs_density(x, model: FSModel):
-    """Stationary density; zero on x <= 0 (Dirichlet at 0)."""
-    if np.ndim(x) > 0:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = [fs_density(float(v), model) for v in x[pos]]
-        return out
-    if x <= 0:
-        return 0.0
-    ai = airy(model.scale * x - model.omega1)[0]
-    return model.normalization * ai * ai
+    """Stationary density, with the shape of x; zero on x <= 0 (Dirichlet
+    at 0)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    ai = airy(model.scale * x[pos] - model.omega1)[0]
+    out[pos] = model.normalization * ai * ai
+    return out[()]
 
 
 def fs_drift(x, model: FSModel):
     """sigma^2 phi'(x)/phi(x); diverges to +infinity as x -> 0+ and is
-    strictly negative beyond the density argmax. Domain x > 0."""
-    if x <= 0:
+    strictly negative beyond the density argmax. Domain x > 0; takes a
+    scalar or an array."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise DegenerateInputError("drift is defined on x > 0 only")
     u = model.scale * x - model.omega1
     ai, aip = airy(u)
@@ -132,12 +115,9 @@ def sample_paths(model: FSModel, n_paths, n_steps, dt, x0, seed):
         raise StructureError("need x0 > 0 and dt > 0")
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, model.x_max * 1.5, 60_000)
-    xg = grid.copy()
-    xg[0] = 1e-12
     g_tab = np.empty_like(grid)
     g_tab[0] = model.sigma ** 2
-    for i in range(1, len(grid)):
-        g_tab[i] = grid[i] * fs_drift(grid[i], model)
+    g_tab[1:] = grid[1:] * fs_drift(grid[1:], model)
 
     x = np.full(n_paths, float(x0))
     out = np.empty((n_paths, n_steps + 1))
@@ -186,9 +166,6 @@ def zero_flux_residual(model: FSModel, x_lo=0.2, x_hi=None, n=200):
         x_hi = model.argmax() * 3.0
     xs = np.linspace(x_lo, x_hi, n)
     h = 1e-5
-    worst = 0.0
-    for x in xs:
-        rp = (fs_density(x + h, model) - fs_density(x - h, model)) / (2 * h)
-        resid = abs(0.5 * model.sigma ** 2 * rp - fs_drift(x, model) * fs_density(x, model))
-        worst = max(worst, resid)
-    return worst
+    rp = (fs_density(xs + h, model) - fs_density(xs - h, model)) / (2 * h)
+    resid = np.abs(0.5 * model.sigma ** 2 * rp - fs_drift(xs, model) * fs_density(xs, model))
+    return float(resid.max())

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from zgff.airy import (AI0, _airy_asymptotic_pos, airy, airy_prime_first_zero,
-                       airy_series, omega1)
+from zgff.airy import (AI0, BLOCK, _airy_asymptotic_pos, airy,
+                       airy_prime_first_zero, airy_series, omega1)
 from zgff.errors import DegenerateInputError, StructureError
 from zgff.fs import (FSModel, fs_cdf, fs_density, fs_drift, fs_quantile,
                      ks_distance, sample_paths, zero_flux_residual)
@@ -16,23 +16,46 @@ def test_ai_at_zero_closed_form():
     assert airy(0.0)[0] == pytest.approx(0.3550280538878172, abs=1e-10)
 
 
+def _branch_edges(edges):
+    """Each edge and the floats one ulp either side of it."""
+    return np.concatenate([[np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+                           for e in edges])
+
+
 def test_airy_against_scipy_abs_inside():
-    xs = np.linspace(-10, 10, 801)
-    for x in xs:
-        ai, aip = airy(float(x))
-        Ai, Aip, _, _ = special.airy(x)
-        assert abs(ai - Ai) <= 1e-10
-        assert abs(aip - Aip) <= 1e-10
+    # series, Taylor and positive asymptotics, and the edges 0 and +-6
+    xs = np.concatenate([np.linspace(-10, 10, 801),
+                         _branch_edges([0.0, 6.0, -6.0])])
+    ai, aip = airy(xs)
+    Ai, Aip, _, _ = special.airy(xs)
+    assert np.all(np.abs(ai - Ai) <= 1e-10)
+    assert np.all(np.abs(aip - Aip) <= 1e-10)
 
 
 def test_airy_against_scipy_rel_outside():
+    # negative asymptotics, Taylor on (-12, -10), positive asymptotics, -12
     xs = np.concatenate([np.linspace(-25, -10.01, 120),
-                         np.linspace(10.01, 25, 120)])
-    for x in xs:
-        ai, aip = airy(float(x))
-        Ai, Aip, _, _ = special.airy(x)
-        assert abs(ai - Ai) <= 1e-8 * abs(Ai)
-        assert abs(aip - Aip) <= 1e-8 * abs(Aip)
+                         np.linspace(10.01, 25, 120), _branch_edges([-12.0])])
+    ai, aip = airy(xs)
+    Ai, Aip, _, _ = special.airy(xs)
+    assert np.all(np.abs(ai - Ai) <= 1e-8 * np.abs(Ai))
+    assert np.all(np.abs(aip - Aip) <= 1e-8 * np.abs(Aip))
+
+
+def test_airy_keeps_the_shape_of_its_input():
+    pts = np.array([[-20.0, -8.0, -2.0], [0.0, 5.5, 9.0]])
+    for x in (1.5, np.float64(-7.0), np.asarray(3.0), pts[0], pts):
+        ai, aip = airy(x)
+        assert np.shape(ai) == np.shape(aip) == np.shape(x)
+    ai, aip = airy(pts)
+    for idx in np.ndindex(pts.shape):
+        assert (ai[idx], aip[idx]) == airy(float(pts[idx]))
+    # airy works through blocks of BLOCK points; the reversed view
+    # puts every point in a different block at a different offset
+    big = np.linspace(-20.0, 20.0, 2 * BLOCK + 3)
+    ai, aip = airy(big)
+    ai_r, aip_r = airy(big[::-1])
+    assert np.array_equal(ai, ai_r[::-1]) and np.array_equal(aip, aip_r[::-1])
 
 
 def test_airy_monotone_decay_positive_axis():
@@ -79,7 +102,7 @@ def test_density_normalization_and_prefactor():
 def test_density_argmax_formula():
     m = FSModel(sigma=1.3)
     xs = np.linspace(1e-4, m.x_max, 40000)
-    dens = np.array([fs_density(float(x), m) for x in xs])
+    dens = fs_density(xs, m)
     x_star = xs[np.argmax(dens)]
     assert m.argmax() == pytest.approx(
         (2.0 / 1.3 ** 2) ** (-1.0 / 3.0) * (omega1() - airy_prime_first_zero()),
@@ -98,6 +121,20 @@ def test_drift_sign_structure():
         fs_drift(0.0, m)
     with pytest.raises(DegenerateInputError):
         fs_drift(-1.0, m)
+
+
+def test_density_and_drift_on_a_grid_match_pointwise_calls():
+    m = FSModel(sigma=1.0)
+    xs = np.linspace(-1.0, 1.5 * m.x_max, 301)
+    dens = fs_density(xs, m)
+    assert dens.shape == xs.shape
+    assert np.all(dens[xs <= 0] == 0.0)
+    assert [float(d) for d in dens] == [fs_density(float(x), m) for x in xs]
+    pos = xs[xs > 0]
+    drift = fs_drift(pos, m)
+    assert [float(d) for d in drift] == [fs_drift(float(x), m) for x in pos]
+    with pytest.raises(DegenerateInputError):
+        fs_drift(xs, m)
 
 
 def test_drift_matches_fd_log_derivative():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_enumerated_law_properties():
 
 
 def test_enumerate_irreducible_small_displacements():
-    table = enumerate_irreducible(4.0, k_max=4)
+    table = enumerate_irreducible(k_max=4)
     assert table[(1, 0)] == [(1, 1)]          # the single horizontal bond
     assert table[(2, 1)] == [(3, 1)]          # E,U,E corner piece
     assert table[(2, -1)] == [(3, 1)]
@@ -226,6 +227,21 @@ def test_mcmc_sampler_validated_against_oracle():
     n_eff = len(samples) / (2 * tau)
     se = np.sqrt(np.maximum(marg[col] * (1 - marg[col]), 1e-12) / n_eff)
     assert np.all(np.abs(emp - marg[col]) <= 5 * se + 1e-9)
+
+
+def test_mcmc_sampler_stream_is_pinned():
+    # the bridge of the oracle_small benchmark workload: any change to the
+    # Metropolis loop must reproduce these samples and acceptance rate exactly
+    spec = TiltedBridgeSpec(u=(0, 2), v=(12, 2), floor=0, tilt_N=6.0,
+                            law=basic_increment_law(0.25), ceiling=20)
+    samples, diag = sample_tilted_bridge(spec, 5000, 3, method="mcmc",
+                                         mcmc_sweeps_per_sample=6)
+    digest = hashlib.sha256(np.ascontiguousarray(samples, dtype=np.int64)
+                            .tobytes()).hexdigest()
+    assert samples.shape == (5000, 13)
+    assert digest == ("873d8b1617c37266e70fd52cd28579dea86c471eda9b9d8545441456"
+                      "d50cf5f3")
+    assert diag["acceptance_rate"] == float.fromhex("0x1.40b4dff8e93c8p-1")
 
 
 def test_mcmc_infeasible_initial_path():
