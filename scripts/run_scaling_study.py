@@ -2,9 +2,9 @@
 """Observational scaling study of the top level-line fluctuation width.
 
 Samples the surface at several side lengths (warm-started at the plateau
-height), finds the largest macroscopic level-1 loop containing the box
-center, records the standard deviation of its lowest crossing height over
-the center column, and fits the growth exponent against L.
+height), takes the top level-1 loop (`top_level_loop`, as the end-to-end
+pipeline does), records the standard deviation of its lowest crossing height
+over the center column, and fits the growth exponent against L.
 
 Caveats, measured not guessed: at beta >= 2 no desk-scale L has macroscopic
 level lines at all (the plateau height H(L) is 0 there). In the plateau
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from zgff.experiments import height_fluctuation_exponent
-from zgff.levellines import extract_level_lines
+from zgff.levellines import top_level_loop
 from zgff.mcmc import sample_equilibrium
 from zgff.surface import ModelParams, SurfaceConfig, build_boundary
 
@@ -41,13 +41,8 @@ def fluctuation_scale(L, beta, p, n_snapshots, seed, thin=4, burn=80,
     rho0 = []
     misses = 0
     for snap in snaps:
-        loops = [lp for lp in extract_level_lines(snap, 1) if lp.macroscopic]
-        tops = [lp for lp in loops if (L // 2, L // 2) in lp.interior_cells()]
-        if not tops:
-            misses += 1
-            continue
-        top = max(tops, key=lambda lp: lp.interior_area)
-        hits = top.column_hits(L // 2)
+        top = top_level_loop(snap, 1)
+        hits = top.column_hits(L // 2) if top is not None else []
         if hits:
             rho0.append(hits[0])
         else:

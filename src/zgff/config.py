@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 PIPELINES = ("surface", "scales", "fs", "rw", "tension", "levellines", "endtoend")
+LAWS = ("basic", "enumerated")
 
 _DEFAULTS = {
     "model": {"p": 2.0, "beta": 2.0, "boundary": "all:0", "floor": "none",
@@ -94,6 +95,9 @@ class ExperimentConfig:
         name = self.get("pipeline", "name")
         if name not in PIPELINES:
             raise ConfigError(f"unknown pipeline {name!r}; choose from {PIPELINES}")
+        law = self.get("rw", "law")
+        if law not in LAWS:
+            raise ConfigError(f"unknown [rw] law {law!r}; choose from {LAWS}")
         if self.get("run", "sweeps") <= self.get("run", "burnin"):
             raise ConfigError("need sweeps > burnin")
         for section, key, least in (("lattice", "L", 1), ("run", "thinning", 1),
@@ -136,8 +140,6 @@ def _fmt(v):
 def _coerce(section, key, value):
     ty = _TYPES.get((section, key))
     if isinstance(value, str):
-        if ty is bool:
-            return value.lower() in ("1", "true", "yes", "on")
         if ty is not None:
             try:
                 return ty(value)

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, RunManifest, model_params_from
-from .errors import CoverageError, DegenerateInputError, InfeasibleError
+from .errors import ConfigError, CoverageError, DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
 from .levellines import (extract_level_lines, loops_to_records, profile,
                          rescale, top_level_loop)
 from .mcmc import sample_equilibrium
-from .rw import (TiltedBridgeSpec, basic_increment_law, enumerated_increment_law,
+from .rw import (basic_increment_law, enumerated_increment_law, fs_bridge_spec,
                  fs_comparison, sample_tilted_bridge, transfer_matrix_exact)
 from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
                      proxy_box_side)
@@ -41,6 +41,24 @@ def _json_dump(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _sample(cfg, params):
+    """The config's checkerboard equilibrium run: (snapshots, diagnostics)."""
+    return sample_equilibrium(
+        params, cfg.get("lattice", "L"), cfg.get("run", "sweeps"),
+        cfg.get("run", "burnin"), cfg.get("run", "thinning"),
+        cfg.get("run", "seed"), scan_order="checkerboard")
+
+
+def _increment_law(cfg):
+    """The config's increment law: basic(q), or the law enumerated at the
+    model's beta and p (its sigma does not depend on the level)."""
+    if cfg.get("rw", "law") == "basic":
+        return basic_increment_law(cfg.get("rw", "q"))
+    return enumerated_increment_law(cfg.get("model", "beta"),
+                                    p=cfg.get("model", "p"),
+                                    k_max=cfg.get("rw", "kmax"))
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir=None):
@@ -64,11 +82,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None):
 
 def run_surface(cfg, out_dir):
     params = model_params_from(cfg)
-    L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
-    snaps, diag = sample_equilibrium(
-        params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-        cfg.get("run", "thinning"), seed, scan_order="checkerboard")
+    snaps, diag = _sample(cfg, params)
     artifacts = []
     for i, snap in enumerate(snaps):
         name = f"snapshot_{i:05d}.snap"
@@ -140,22 +155,17 @@ def run_fs(cfg, out_dir):
 def run_rw_oracle(cfg, out_dir):
     seed = cfg.get("run", "seed")
     N = cfg.get("rw", "tilt_n")
-    if cfg.get("rw", "law") == "basic":
-        law = basic_increment_law(cfg.get("rw", "q"))
-    else:
-        law = enumerated_increment_law(cfg.get("model", "beta"),
-                                       p=cfg.get("model", "p"),
-                                       k_max=cfg.get("rw", "kmax"))
-        law, _ = law.unit_step_projection()
-    win = int(math.ceil(N ** (2.0 / 3.0)))
-    W = 6 * win
-    sigma = math.sqrt(law.y_variance)
-    model = FSModel(sigma=sigma)
-    fs_mean = float(np.trapezoid(model.pdf_grid * model.x_grid, model.x_grid))
-    y0 = max(1, int(round(fs_mean * N ** (1.0 / 3.0))))
-    cap = max(y0 + 4, int(12 * N ** (1.0 / 3.0)))
-    spec = TiltedBridgeSpec(u=(0, y0), v=(W, y0), floor=1, tilt_N=N, law=law,
-                            ceiling=cap)
+    law = _increment_law(cfg)
+    if cfg.get("rw", "law") != "basic":
+        # raised once the law is built, so that an oversized kmax still
+        # reports its resource limit
+        raise ConfigError(
+            "rw-oracle needs [rw] law = basic: its bridge takes unit-x steps, "
+            "and the unit-x projection of the enumerated law is the single "
+            "(1, 0) step, a walk with sigma = 0")
+    spec = fs_bridge_spec(N, law)
+    W = spec.width
+    win = W // 6
     heights, marg = transfer_matrix_exact(spec, enforce_caps=False)
     lines = [f"# config_hash={cfg.hash()}", "t,height,probability"]
     for col in (W // 2 - win, W // 2, W // 2 + win):
@@ -199,9 +209,7 @@ def run_levellines(cfg, out_dir, snapshots=None):
     L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
     if snapshots is None:
-        snapshots, _ = sample_equilibrium(
-            params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-            cfg.get("run", "thinning"), seed, scan_order="checkerboard")
+        snapshots, _ = _sample(cfg, params)
     records = []
     for idx, snap in enumerate(snapshots):
         hmax = int(snap.heights.max())
@@ -217,7 +225,7 @@ def run_levellines(cfg, out_dir, snapshots=None):
                             "n_snapshots": len(snapshots)}
 
 
-def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
+def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     """simulate -> top-m level lines -> profiles -> rescale -> KS vs FS ->
     cross-level dependence -> manifest.
 
@@ -228,10 +236,11 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
     L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
     m = cfg.get("run", "levels")
+    sigma = math.sqrt(_increment_law(cfg).y_variance)
     if scale_table is None:
-        hist = hist or estimate_height_prob(params, proxy_box_side(L),
-                                            max(2000, cfg.get("run", "sweeps")),
-                                            seed + 101)
+        hist = estimate_height_prob(params, proxy_box_side(L),
+                                    max(2000, cfg.get("run", "sweeps")),
+                                    seed + 101)
         scale_table = compute_scales(hist, L, m=m)
     if scale_table.L_in_bad_set:
         iv = next(i for i in scale_table.bad_intervals if i[0] <= L <= i[1])
@@ -240,19 +249,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
             "(plateau transition); pick a side length outside it")
     H = scale_table.H
     if snapshots is None:
-        snapshots, _ = sample_equilibrium(
-            params, L, cfg.get("run", "sweeps"), cfg.get("run", "burnin"),
-            cfg.get("run", "thinning"), seed, scan_order="checkerboard")
-
-    sigma_source = cfg.get("rw", "law")
-    sigmas = {}
-    for n in range(m):
-        if sigma_source == "basic":
-            sigmas[n] = math.sqrt(2 * cfg.get("rw", "q"))
-        else:
-            law = enumerated_increment_law(params.beta, n=n, p=params.p,
-                                           k_max=cfg.get("rw", "kmax"))
-            sigmas[n] = math.sqrt(law.y_variance)
+        snapshots, _ = _sample(cfg, params)
 
     rows = []
     y0_by_level = {n: {} for n in range(m)}   # level -> {snapshot index: Y(0)}
@@ -299,7 +296,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
     for n in range(m):
         ys = np.asarray(list(y0_by_level[n].values()))
         if len(ys) >= 10:
-            model = FSModel(sigma=sigmas[n])
+            model = FSModel(sigma=sigma)
             ks_by_level[n] = float(ks_distance(ys, model))
         else:
             ks_by_level[n] = None
@@ -316,8 +313,8 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None, hist=None):
                 cross = None
     record = {
         "config_hash": cfg.hash(), "seed": seed, "L": L, "H": H,
-        "N": scale_table.N, "sigma_by_level": {str(n): sigmas[n] for n in sigmas},
-        "sigma_source": sigma_source,
+        "N": scale_table.N, "sigma_by_level": {str(n): sigma for n in range(m)},
+        "sigma_source": cfg.get("rw", "law"),
         "ks_by_level": {str(n): ks_by_level[n] for n in ks_by_level},
         "snapshots_missing_level": {str(n): missing[n] for n in missing},
         "sup_gap_median": (float(np.median(sup_gaps)) if sup_gaps else None),

@@ -64,6 +64,10 @@ class FSModel:
         tests."""
         return self.scale / self.ai_prime_at_minus_omega1 ** 2
 
+    def mean(self):
+        """Stationary mean, by the trapezoid rule on the cached grid."""
+        return float(np.trapezoid(self.pdf_grid * self.x_grid, self.x_grid))
+
     def argmax(self):
         """Density peak: (sigma^2/2)^(1/3) (omega1 - a*), a* the first zero
         of Ai' on the negative axis."""

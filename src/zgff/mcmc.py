@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BuildError, InvalidConstraintError, OrderingError,
                      StructureError)
-from .surface import ModelParams, SurfaceConfig, conditional_tables
+from .surface import ModelParams, SurfaceConfig, bound_grid, conditional_tables
 
 SCAN_ORDERS = ("raster", "checkerboard")
 
@@ -371,20 +371,12 @@ def check_ordered(lower: SurfaceConfig, upper: SurfaceConfig):
         if v > upper.boundary[s]:
             raise OrderingError(f"boundary ordering violated at {s}")
     L = lower.L
-    lo_f = _as_grid(lower.floor, L, -np.inf)
-    up_f = _as_grid(upper.floor, L, -np.inf)
-    lo_c = _as_grid(lower.ceiling, L, np.inf)
-    up_c = _as_grid(upper.ceiling, L, np.inf)
+    lo_f = bound_grid(lower.floor, L, -np.inf)
+    up_f = bound_grid(upper.floor, L, -np.inf)
+    lo_c = bound_grid(lower.ceiling, L, np.inf)
+    up_c = bound_grid(upper.ceiling, L, np.inf)
     if not (np.all(lo_f <= up_f) and np.all(lo_c <= up_c)):
         raise OrderingError("floor/ceiling ordering violated")
-
-
-def _as_grid(b, L, sentinel):
-    if b is None:
-        return np.full((L, L), sentinel)
-    if isinstance(b, np.ndarray):
-        return b.astype(float)
-    return np.full((L, L), float(b))
 
 
 def _check_coupling(lower: ChainState, upper: ChainState):
@@ -506,7 +498,7 @@ def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
     lo = SurfaceConfig.flat(L, value=base, boundary=boundary, floor=floor,
                             ceiling=params.ceiling_spec)
     hi_ceiling = params.ceiling_spec
-    hi_start = high_value if hi_ceiling is None else min(high_value, int(np.min(_as_grid(hi_ceiling, L, np.inf))))
+    hi_start = high_value if hi_ceiling is None else min(high_value, int(np.min(bound_grid(hi_ceiling, L))))
     hi = SurfaceConfig.flat(L, value=hi_start, boundary=boundary, floor=floor,
                             ceiling=params.ceiling_spec)
     slo = ChainState(config=lo, seed=seed)
@@ -540,10 +532,10 @@ def cftp_sample(params: ModelParams, L, seed, boundary, max_doublings=20):
     for _ in range(max_doublings):
         lo_cfg = SurfaceConfig.flat(L, value=0, boundary=boundary,
                                     floor=params.floor_spec, ceiling=params.ceiling_spec)
-        lo_cfg.heights[:, :] = _as_grid(params.floor_spec, L, 0).astype(np.int32)
+        lo_cfg.heights[:, :] = bound_grid(params.floor_spec, L)
         hi_cfg = SurfaceConfig.flat(L, value=0, boundary=boundary,
                                     floor=params.floor_spec, ceiling=params.ceiling_spec)
-        hi_cfg.heights[:, :] = _as_grid(params.ceiling_spec, L, 0).astype(np.int32)
+        hi_cfg.heights[:, :] = bound_grid(params.ceiling_spec, L)
         slo = ChainState(config=lo_cfg, seed=seed)
         shi = ChainState(config=hi_cfg, seed=seed)
         # Sweep s in 0..T-1 of this attempt reuses the fixed randomness of

@@ -235,6 +235,23 @@ class TiltedBridgeSpec:
         return self.v[0] - self.u[0]
 
 
+def fs_bridge_spec(N, law):
+    """The bridge on which the walk at tilt N with a unit-x-step law is
+    compared with FS(sigma), sigma^2 = law.y_variance.
+
+    Width 6 ceil(N^(2/3)); both endpoints at the FS mean height N^(1/3) E[X]
+    (the proxy for an infinitely long bridge); floor 1, strictly above the
+    wall row 0 (see fs_comparison); heights capped at max(y0 + 4, 12 N^(1/3)).
+    """
+    W = 6 * int(math.ceil(N ** (2.0 / 3.0)))
+    scale = N ** (1.0 / 3.0)
+    model = FSModel(sigma=math.sqrt(law.y_variance))
+    y0 = max(1, int(round(model.mean() * scale)))
+    cap = max(y0 + 4, int(12 * scale))
+    return TiltedBridgeSpec(u=(0, y0), v=(W, y0), floor=1, tilt_N=float(N),
+                            law=law, ceiling=cap)
+
+
 def _unit_law(spec):
     law = spec.law
     if any(dx != 1 for dx, _ in law.steps):
@@ -254,6 +271,16 @@ def _height_window(spec):
     return lo, hi
 
 
+def _shift(v, dy):
+    """v moved dy places up the height axis, zero-filled: out[i] = v[i - dy]."""
+    out = np.zeros_like(v)
+    if dy >= 0:
+        out[dy:] = v[:max(len(v) - dy, 0)]
+    else:
+        out[:dy] = v[-dy:]
+    return out
+
+
 def _forward_backward(spec, cap=None):
     """Forward/backward vectors of the tilted bridge on heights
     floor..floor+cap. Returns (fwd, bwd, heights, site_factor) with
@@ -268,7 +295,6 @@ def _forward_backward(spec, cap=None):
         site = np.ones(n_h)
     else:
         site = np.exp(-(np.arange(n_h)) / spec.tilt_N)
-    T_rows = [(dy, p) for dy, p in zip(dys, probs)]
     fwd = np.zeros((W + 1, n_h))
     iu = spec.u[1] - lo
     iv = spec.v[1] - lo
@@ -277,13 +303,8 @@ def _forward_backward(spec, cap=None):
     fwd[0, iu] = site[iu]
     for i in range(1, W + 1):
         acc = np.zeros(n_h)
-        for dy, p in T_rows:
-            if dy == 0:
-                acc += p * fwd[i - 1]
-            elif dy > 0:
-                acc[dy:] += p * fwd[i - 1][:-dy]
-            else:
-                acc[:dy] += p * fwd[i - 1][-dy:]
+        for dy, p in zip(dys, probs):
+            acc += p * _shift(fwd[i - 1], dy)
         acc *= site
         m = acc.max()
         if m <= 0.0:
@@ -294,13 +315,8 @@ def _forward_backward(spec, cap=None):
     for i in range(W - 1, -1, -1):
         acc = np.zeros(n_h)
         nxt = bwd[i + 1] * site
-        for dy, p in T_rows:
-            if dy == 0:
-                acc += p * nxt
-            elif dy > 0:
-                acc[:-dy] += p * nxt[dy:]
-            else:
-                acc[-dy:] += p * nxt[:dy]
+        for dy, p in zip(dys, probs):
+            acc += p * _shift(nxt, -dy)
         m = acc.max()
         if m <= 0.0:
             raise InfeasibleError("endpoints infeasible under the step support")
@@ -311,24 +327,23 @@ def _forward_backward(spec, cap=None):
     return fwd, bwd, heights, site
 
 
-def transfer_matrix_exact(spec: TiltedBridgeSpec, height_cap=None,
-                          enforce_caps=True):
+def transfer_matrix_exact(spec: TiltedBridgeSpec, enforce_caps=True):
     """Exact column marginals of the tilted bridge by forward-backward
     accumulation over height states; each column normalized to 1 within
     1e-12.
 
-    The oracle contract caps width at 20 and the height window at 40 states;
-    pass enforce_caps=False for larger instances (same dense recursion).
+    The oracle contract caps width at 20 and the height window at 40 states
+    (a taller window is cut to 40 above the floor); pass enforce_caps=False
+    for larger instances (same dense recursion, whole window).
     """
+    cap = None
     if enforce_caps:
         if spec.width > ORACLE_MAX_WIDTH:
             raise ResourceLimitError(f"width {spec.width} > {ORACLE_MAX_WIDTH}")
         lo, hi = _height_window(spec)
-        if height_cap is None and hi - lo + 1 > ORACLE_MAX_CAP:
-            height_cap = ORACLE_MAX_CAP
-        if height_cap is not None and height_cap > ORACLE_MAX_CAP:
-            raise ResourceLimitError(f"height cap {height_cap} > {ORACLE_MAX_CAP}")
-    fwd, bwd, heights, _ = _forward_backward(spec, cap=height_cap)
+        if hi - lo + 1 > ORACLE_MAX_CAP:
+            cap = ORACLE_MAX_CAP
+    fwd, bwd, heights, _ = _forward_backward(spec, cap=cap)
     marg = fwd * bwd
     sums = marg.sum(axis=1, keepdims=True)
     if np.any(sums <= 0):
@@ -337,30 +352,18 @@ def transfer_matrix_exact(spec: TiltedBridgeSpec, height_cap=None,
     return heights, marg
 
 
-def sample_tilted_bridge(spec: TiltedBridgeSpec, count, seed, method="auto",
-                         height_cap=None, mcmc_sweeps_per_sample=4,
-                         mcmc_burn_in=None):
+def sample_tilted_bridge(spec: TiltedBridgeSpec, count, seed, method="transfer",
+                         mcmc_sweeps_per_sample=4):
     """Paths from the tilted bridge measure, shape (count, width+1).
 
-    method 'enumerate' computes the full path distribution (short bridges),
-    'transfer' samples exactly through the conditional chain of the
-    forward-backward recursion (any width), 'mcmc' runs single-column
-    Metropolis moves (validated against the oracle in the tests). 'auto'
-    enumerates when the path space is tiny and otherwise uses 'transfer'.
+    method 'transfer' samples exactly through the conditional chain of the
+    forward-backward recursion (any width); 'mcmc' runs single-column
+    Metropolis moves (validated against the oracle in the tests).
     """
-    if method == "auto":
-        n_paths = len(spec.law.steps) ** min(spec.width, 24)
-        method = "enumerate" if n_paths <= 100_000 else "transfer"
-    if method == "enumerate":
-        paths, weights = enumerate_bridge(spec)
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(weights), size=count, p=weights / weights.sum())
-        return paths[idx], {"method": "enumerate", "n_paths": len(weights)}
     if method == "transfer":
-        return _sample_transfer(spec, count, seed, height_cap), {"method": "transfer"}
+        return _sample_transfer(spec, count, seed), {"method": "transfer"}
     if method == "mcmc":
-        return _sample_mcmc(spec, count, seed, mcmc_sweeps_per_sample,
-                            mcmc_burn_in)
+        return _sample_mcmc(spec, count, seed, mcmc_sweeps_per_sample)
     raise StructureError(f"unknown sampling method {method!r}")
 
 
@@ -397,9 +400,9 @@ def enumerate_bridge(spec: TiltedBridgeSpec):
     return np.asarray(paths), np.asarray(weights)
 
 
-def _sample_transfer(spec, count, seed, height_cap=None):
+def _sample_transfer(spec, count, seed):
     dys, probs = _unit_law(spec)
-    fwd, bwd, heights, site = _forward_backward(spec, cap=height_cap)
+    fwd, bwd, heights, site = _forward_backward(spec)
     n_h = len(heights)
     W = spec.width
     rng = np.random.default_rng(seed)
@@ -412,9 +415,7 @@ def _sample_transfer(spec, count, seed, height_cap=None):
         nxt = bwd[i + 1] * site
         w = np.zeros((n_h, n_steps))
         for j, (dy, p) in enumerate(zip(dys, probs)):
-            lo_t = max(0, dy)
-            hi_t = n_h + min(0, dy)
-            w[lo_t - dy:hi_t - dy, j] = p * nxt[lo_t:hi_t]
+            w[:, j] = p * _shift(nxt, -dy)
         cdf = np.cumsum(w, axis=1)
         tot = cdf[:, -1].copy()
         tot[tot == 0] = 1.0
@@ -427,7 +428,7 @@ def _sample_transfer(spec, count, seed, height_cap=None):
     return out + heights[0]
 
 
-def _sample_mcmc(spec, count, seed, sweeps_per_sample=4, burn_in=None):
+def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     """Single-column +-1 Metropolis on the height path (for unit-step laws a
     corner flip is such a move). Irreducible: any path can reach the minimal
     one by monotone moves."""
@@ -436,8 +437,7 @@ def _sample_mcmc(spec, count, seed, sweeps_per_sample=4, burn_in=None):
     W = spec.width
     if W < 2:
         raise StructureError("bridge too narrow for MCMC moves")
-    if burn_in is None:
-        burn_in = 10 * W
+    burn_in = 10 * W
     rng = np.random.default_rng(seed)
     y = _initial_path(spec, dys).tolist()
     tilt = 0.0 if spec.tilt_N == math.inf else 1.0 / spec.tilt_N

@@ -186,15 +186,15 @@ class SurfaceConfig:
             if s not in self.boundary:
                 raise StructureError(f"missing boundary value at {s}")
         if self.floor is not None:
-            f = _bound_grid(self.floor, L)
+            f = bound_grid(self.floor, L)
             if np.any(self.heights < f):
                 raise StructureError("height below floor")
         if self.ceiling is not None:
-            c = _bound_grid(self.ceiling, L)
+            c = bound_grid(self.ceiling, L)
             if np.any(self.heights > c):
                 raise StructureError("height above ceiling")
         if self.floor is not None and self.ceiling is not None:
-            f, c = _bound_grid(self.floor, L), _bound_grid(self.ceiling, L)
+            f, c = bound_grid(self.floor, L), bound_grid(self.ceiling, L)
             if np.any(f > c):
                 raise InvalidConstraintError("floor above ceiling somewhere")
         return True
@@ -212,10 +212,12 @@ def _bound_at(b, x, y):
     return int(b)
 
 
-def _bound_grid(b, L):
+def bound_grid(b, L, missing=None):
+    """A floor or ceiling as an (L, L) grid: an array as it is, an integer
+    at every site, None as `missing` at every site."""
     if isinstance(b, np.ndarray):
         return b
-    return np.full((L, L), int(b))
+    return np.full((L, L), missing if b is None else int(b))
 
 
 def energy(config: SurfaceConfig, params: ModelParams) -> float:

@@ -100,7 +100,7 @@ def _fold_angle(theta):
     return th
 
 
-def estimate_tension(beta, direction, sizes=None, n=0, p=2.0):
+def estimate_tension(beta, direction, sizes=None):
     """Tension in one direction from the exact transfer, with a finite-size
     fit z_k = tau * l1_k + C + D / k (z_k = -log Z - 0.5 log M).
 
@@ -147,7 +147,7 @@ DEFAULT_DIRECTIONS = ((1, 0), (8, 1), (6, 1), (4, 1), (3, 1), (8, 3),
 def tension_table(beta, directions=DEFAULT_DIRECTIONS, sizes=None, n=0, p=2.0):
     table = TensionTable(beta=beta, n=n, p=p)
     for d in directions:
-        table.entries.append(estimate_tension(beta, d, sizes=sizes, n=n, p=p))
+        table.entries.append(estimate_tension(beta, d, sizes=sizes))
     return table
 
 
@@ -168,7 +168,7 @@ def finite_size_drift(beta, direction=(1, 0), sizes=range(4, 65, 4)):
 # Wulff geometry
 
 
-def wulff_shape(angles, taus, check_convex=True):
+def wulff_shape(angles, taus):
     """Convex body from halfplanes {h : h . n(theta) <= tau(theta)} over the
     full circle; returns the vertex list (closed, counterclockwise).
 
@@ -198,14 +198,13 @@ def wulff_shape(angles, taus, check_convex=True):
             out.append(v)
     if len(out) < 3:
         raise InfeasibleError("tension table produced a degenerate body")
-    if check_convex:
-        # every halfplane must touch the body: support(theta) == tau(theta)
-        for t, tau in zip(angles, taus):
-            support = max(v[0] * math.cos(t) + v[1] * math.sin(t) for v in out)
-            if support < tau * (1 - 1e-6) - 1e-12:
-                raise InfeasibleError(
-                    f"constraint at theta={t:.4f} inactive: input table is not "
-                    "the restriction of a convex support function")
+    # every halfplane must touch the body: support(theta) == tau(theta)
+    for t, tau in zip(angles, taus):
+        support = max(v[0] * math.cos(t) + v[1] * math.sin(t) for v in out)
+        if support < tau * (1 - 1e-6) - 1e-12:
+            raise InfeasibleError(
+                f"constraint at theta={t:.4f} inactive: input table is not "
+                "the restriction of a convex support function")
     return out
 
 

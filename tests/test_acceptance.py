@@ -17,8 +17,8 @@ from zgff.fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths, \
     zero_flux_residual
 from zgff.levellines import enclosed_region, extract_level_lines
 from zgff.mcmc import ChainState, coupled_batch_run, run_chain
-from zgff.rw import (TiltedBridgeSpec, basic_increment_law, sample_tilted_bridge,
-                     transfer_matrix_exact, enumerate_bridge)
+from zgff.rw import (TiltedBridgeSpec, basic_increment_law, enumerate_bridge,
+                     fs_bridge_spec, sample_tilted_bridge, transfer_matrix_exact)
 from zgff.scales import bad_set_log_density, compute_scales
 from zgff.surface import ModelParams, SurfaceConfig
 from zgff.tension import estimate_tension, finite_size_drift, tension_table
@@ -184,24 +184,6 @@ def test_criterion_5_transfer_oracle_equivalence():
                f"z={worst_z:.2f} <= 3", t0, 180)
 
 
-def _fs_mean(model):
-    return float(np.trapezoid(model.pdf_grid * model.x_grid, model.x_grid))
-
-
-def _bridge_spec(N, law, model):
-    win = int(math.ceil(N ** (2.0 / 3.0)))
-    W = 6 * win
-    # strictly positive walk above the wall row at 0: the discrete analogue
-    # of the Dirichlet-killed diffusion; a walk allowed to touch the wall
-    # carries a one-lattice-unit boundary layer that dominates the KS at
-    # this tilt scale. Endpoints sit at the stationary mean height as the
-    # T -> infinity proxy.
-    y0 = max(1, int(round(_fs_mean(model) * N ** (1.0 / 3.0))))
-    cap = int(12 * N ** (1.0 / 3.0))
-    return TiltedBridgeSpec(u=(0, y0), v=(W, y0), floor=1, tilt_N=float(N),
-                            law=law, ceiling=cap), W
-
-
 def test_criterion_6_effective_model_limit():
     t0 = time.time()
     law = basic_increment_law(0.25)
@@ -209,7 +191,8 @@ def test_criterion_6_effective_model_limit():
     model = FSModel(sigma=sigma)
     # deterministic part: exact midpoint marginal of the tilted bridge
     N = 3000
-    spec, W = _bridge_spec(N, law, model)
+    spec = fs_bridge_spec(N, law)
+    W = spec.width
     heights, marg = transfer_matrix_exact(spec, enforce_caps=False)
     mid = marg[W // 2]
     scale = N ** (1.0 / 3.0)
@@ -222,7 +205,8 @@ def test_criterion_6_effective_model_limit():
     # sampled part: KS median non-increasing when N doubles, 5 common seeds
     medians = {}
     for N_run in (3000, 6000):
-        spec_r, W_r = _bridge_spec(N_run, law, model)
+        spec_r = fs_bridge_spec(N_run, law)
+        W_r = spec_r.width
         ks_vals = []
         for seed in range(5):
             paths, _ = sample_tilted_bridge(spec_r, 20_000, seed=seed,

@@ -147,6 +147,15 @@ def test_replay_byte_identical_fs_pipeline(tmp_path):
     m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
     m1.pop("wall_clock_s"), m2.pop("wall_clock_s")
     assert m1 == m2
+    # the default rw-oracle through the CLI: exit 0, its three artifacts, and
+    # a byte-identical replay into another directory
+    for sub in ("w1", "w2"):
+        assert main(["rw-oracle", "--out", str(tmp_path / sub)]) == 0
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == [
+            "manifest.json", "rw_ks.json", "rw_marginals.csv"]
+    for name in ("rw_marginals.csv", "rw_ks.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == \
+            (tmp_path / "w2" / name).read_bytes()
 
 
 def test_surface_pipeline_artifacts(tmp_path):
@@ -192,11 +201,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "x"), "--sweeps", "5",
                  "--burnin", "9"]) == 2
 
-    # run parameters out of range -> config error, before any run starts
+    # run parameters out of range or an unknown increment law -> config
+    # error, before any run starts
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("[rw]\nlaw = enumrated\n")
     for argv in (["simulate", "--thin", "0", "--sweeps", "5", "--burnin", "1"],
                  ["simulate", "--thin", "-1", "--sweeps", "5", "--burnin", "1"],
                  ["scales", "--L", "0"], ["simulate", "--L", "-3"],
-                 ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"]):
+                 ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"],
+                 ["endtoend", "--config", str(typo)]):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
 
@@ -206,6 +219,15 @@ def test_cli_rw_resource_limit(tmp_path):
     cfgf.write_text("[pipeline]\nname = rw\n[rw]\nlaw = enumerated\nkmax = 9\n"
                     f"[out]\ndir = {tmp_path / 'rwout'}\n")
     assert main(["rw-oracle", "--config", str(cfgf)]) == 4
+
+
+def test_cli_rw_oracle_rejects_enumerated_law(tmp_path, capsys):
+    cfgf = tmp_path / "rw.cfg"
+    cfgf.write_text("[pipeline]\nname = rw\n[rw]\nlaw = enumerated\n"
+                    f"[out]\ndir = {tmp_path / 'rwout'}\n")
+    assert main(["rw-oracle", "--config", str(cfgf)]) == 2
+    assert "the single (1, 0) step" in capsys.readouterr().err
+    assert not list((tmp_path / "rwout").iterdir())
 
 
 def test_height_fluctuation_exponent_fit():
