@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 PIPELINES = ("surface", "scales", "fs", "rw", "tension", "levellines", "endtoend")
-LAWS = ("basic", "enumerated")
+LAWS = ("basic", "laplace")
 
 _DEFAULTS = {
     "model": {"p": 2.0, "beta": 2.0, "boundary": "all:0", "floor": "none",
@@ -22,8 +22,7 @@ _DEFAULTS = {
     "run": {"sweeps": 2000, "burnin": 200, "thinning": 10, "seed": 1,
             "levels": 1},
     "pipeline": {"name": "surface"},
-    "rw": {"q": 0.25, "tilt_n": 3000.0, "law": "basic", "kmax": 6,
-           "samples": 4000},
+    "rw": {"q": 0.25, "tilt_n": 3000.0, "law": "basic", "samples": 4000},
     "fs": {"sigma": 1.0, "dt": 1e-3, "steps": 200000, "paths": 50, "x0": 1.0},
     "tension": {"beta": 2.5, "n": 0},
     "out": {"dir": "out"},
@@ -34,8 +33,7 @@ _TYPES = {
     ("lattice", "L"): int,
     ("run", "sweeps"): int, ("run", "burnin"): int, ("run", "thinning"): int,
     ("run", "seed"): int, ("run", "levels"): int,
-    ("rw", "q"): float, ("rw", "tilt_n"): float, ("rw", "kmax"): int,
-    ("rw", "samples"): int,
+    ("rw", "q"): float, ("rw", "tilt_n"): float, ("rw", "samples"): int,
     ("fs", "sigma"): float, ("fs", "dt"): float, ("fs", "steps"): int,
     ("fs", "paths"): int, ("fs", "x0"): float,
     ("tension", "beta"): float, ("tension", "n"): int,

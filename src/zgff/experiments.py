@@ -18,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, RunManifest, model_params_from
-from .errors import ConfigError, CoverageError, DegenerateInputError, InfeasibleError
+from .errors import CoverageError, DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
 from .levellines import (extract_level_lines, loops_to_records, profile,
                          rescale, top_level_loop)
 from .mcmc import sample_equilibrium
-from .rw import (basic_increment_law, enumerated_increment_law, fs_bridge_spec,
-                 fs_comparison, sample_tilted_bridge, transfer_matrix_exact)
+from .rw import (basic_increment_law, fs_bridge_spec, fs_comparison,
+                 laplace_increment_law, sample_tilted_bridge,
+                 transfer_matrix_exact)
 from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
                      proxy_box_side)
 from .stats import correlation
@@ -52,13 +53,12 @@ def _sample(cfg, params):
 
 
 def _increment_law(cfg):
-    """The config's increment law: basic(q), or the law enumerated at the
-    model's beta and p (its sigma does not depend on the level)."""
+    """The config's increment law: basic(q), or the Laplace walk at the
+    model's beta (the truncated polymer ensemble's walk, whose sigma depends
+    on neither the level nor p)."""
     if cfg.get("rw", "law") == "basic":
         return basic_increment_law(cfg.get("rw", "q"))
-    return enumerated_increment_law(cfg.get("model", "beta"),
-                                    p=cfg.get("model", "p"),
-                                    k_max=cfg.get("rw", "kmax"))
+    return laplace_increment_law(cfg.get("model", "beta"))
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir=None):
@@ -156,13 +156,6 @@ def run_rw_oracle(cfg, out_dir):
     seed = cfg.get("run", "seed")
     N = cfg.get("rw", "tilt_n")
     law = _increment_law(cfg)
-    if cfg.get("rw", "law") != "basic":
-        # raised once the law is built, so that an oversized kmax still
-        # reports its resource limit
-        raise ConfigError(
-            "rw-oracle needs [rw] law = basic: its bridge takes unit-x steps, "
-            "and the unit-x projection of the enumerated law is the single "
-            "(1, 0) step, a walk with sigma = 0")
     spec = fs_bridge_spec(N, law)
     W = spec.width
     win = W // 6

@@ -3,10 +3,10 @@
 A bridge of width W is a height path (y_0, ..., y_W) with fixed endpoints,
 increments drawn from an IncrementLaw with unit horizontal steps, weighted
 by exp(-A/N) 1{y >= floor}, where the area functional A is the column sum
-of (height - floor) (the cone-point interpolation; endpoint columns
-contribute a constant and are included). The transfer recursion gives exact
-column marginals and exact conditional sampling; a local-move MCMC sampler
-is kept alongside and validated against the oracle rather than trusted.
+of (height - floor) (endpoint columns contribute a constant and are
+included). The transfer recursion gives exact column marginals and exact
+conditional sampling; a local-move MCMC sampler is kept alongside and
+validated against the oracle rather than trusted.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateInputError, InfeasibleError, ResourceLimitError,
                      StructureError)
 from .fs import FSModel, ks_distance
-from .tension import tension_l1_axis
+from .surface import TRUNCATION_EPS
 
 ORACLE_MAX_WIDTH = 20
 ORACLE_MAX_CAP = 40
@@ -27,11 +27,9 @@ ORACLE_MAX_CAP = 40
 
 @dataclass
 class IncrementLaw:
-    steps: list                   # [(dx, dy)] with dx > 0
+    steps: list                   # [(1, dy)]: every step advances x by one
     probs: np.ndarray
     source: str = "basic"
-    truncated_mass: float = 0.0
-    tail_rate: float = float("nan")
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -39,38 +37,19 @@ class IncrementLaw:
             raise StructureError("steps/probs length mismatch")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise StructureError("probabilities must sum to 1 within 1e-12")
-        if any(dx <= 0 for dx, _ in self.steps):
-            raise StructureError("x components must be strictly positive")
+        if any(dx != 1 for dx, _ in self.steps):
+            raise StructureError("every step must have x component 1")
 
     @property
     def mean(self):
-        mx = sum(p * dx for (dx, _), p in zip(self.steps, self.probs))
         my = sum(p * dy for (_, dy), p in zip(self.steps, self.probs))
-        return (float(mx), float(my))
+        return (1.0, float(my))
 
     @property
     def y_variance(self):
         my = self.mean[1]
         return float(sum(p * (dy - my) ** 2
                          for (_, dy), p in zip(self.steps, self.probs)))
-
-    def y_symmetric(self, tol=1e-12):
-        d = {tuple(s): p for s, p in zip(self.steps, self.probs)}
-        return all(abs(p - d.get((dx, -dy), 0.0)) <= tol
-                   for (dx, dy), p in d.items())
-
-    def unit_step_projection(self):
-        """Restriction to dx = 1 steps (renormalized), for bridge machinery.
-        Returns (law, dropped_mass)."""
-        keep = [(i, s) for i, s in enumerate(self.steps) if s[0] == 1]
-        mass = float(sum(self.probs[i] for i, _ in keep))
-        if mass <= 0:
-            raise InfeasibleError("no unit-x steps to build a bridge from")
-        law = IncrementLaw(steps=[s for _, s in keep],
-                           probs=[self.probs[i] / mass for i, _ in keep],
-                           source=self.source + "|unit-x",
-                           truncated_mass=self.truncated_mass + (1.0 - mass))
-        return law, 1.0 - mass
 
 
 def basic_increment_law(q):
@@ -83,133 +62,24 @@ def basic_increment_law(q):
                         probs=[1 - 2 * q, q, q], source=f"basic(q={q})")
 
 
-def enumerate_irreducible(k_max=8, extra_len=12):
-    """All irreducible x-monotone pieces with |X|_1 <= k_max.
+def laplace_increment_law(beta):
+    """The effective walk of the truncated polymer ensemble of tension.py:
+    steps (1, r) with weight e^(-beta |r|), one free vertical run per column,
+    so that exp(beta M) Z(M, Y) is coth(beta/2)^(M+1) times the probability
+    that M + 1 steps of the walk sum to Y.
 
-    A piece runs from (0, 0) to (dx, dy), stays in the closed forward cone of
-    its start and backward cone of its end, and has no interior cone points
-    (m is a cone point of a piece when every other point q of it has
-    |q_y - m_y| <= |q_x - m_x|). Vertical runs are single-direction per
-    column (simple path) and total length is capped at |X|_1 + extra_len
-    (weight below e^(-beta*extra_len) is discarded, recorded as truncated
-    mass by the caller).
-
-    Returns {(dx, dy): [(n_bonds, multiplicity), ...]}.
-    """
-    out = {}
-    for dx in range(1, k_max + 1):
-        for dy in range(-(k_max - dx), k_max - dx + 1):
-            if abs(dy) > dx:
-                continue
-            paths = _paths_in_cones(dx, dy, dx + abs(dy) + extra_len)
-            counts = {}
-            for pts in paths:
-                if _has_interior_cone_point(pts):
-                    continue
-                nb = len(pts) - 1
-                counts[nb] = counts.get(nb, 0) + 1
-            if counts:
-                out[(dx, dy)] = sorted(counts.items())
-    return out
-
-
-def _paths_in_cones(dx, dy, max_bonds):
-    """x-monotone corner sequences (0,0) -> (dx,dy) inside both cones.
-
-    A column holds at most one single-direction vertical run (simple path);
-    the forward cone pins y = 0 at column 0 and the backward cone pins
-    y = dy at column dx, so runs only occur at interior columns.
-    """
-    results = []
-
-    def ok(x, y):
-        return abs(y) <= x and abs(y - dy) <= dx - x
-
-    def rec(x, y, pts, n_bonds):
-        if x == dx:
-            if y == dy:
-                results.append(pts)
-            return
-        if n_bonds + 1 <= max_bonds and ok(x + 1, y):
-            rec(x + 1, y, pts + [(x + 1, y)], n_bonds + 1)
-        if x > 0:
-            for sgn in (1, -1):
-                run = []
-                yy = y
-                while True:
-                    yy += sgn
-                    if not ok(x, yy):
-                        break
-                    run.append((x, yy))
-                    nb = n_bonds + len(run) + 1
-                    if nb > max_bonds:
-                        break
-                    if ok(x + 1, yy):
-                        rec(x + 1, yy, pts + run + [(x + 1, yy)], nb)
-
-    rec(0, 0, [(0, 0)], 0)
-    return results
-
-
-def _has_interior_cone_point(pts):
-    for m in pts[1:-1]:
-        mx, my = m
-        if all(abs(q[1] - my) <= abs(q[0] - mx) for q in pts if q != m):
-            return True
-    return False
-
-
-def irreducible_increment_weights(beta, k_max=8, extra_len=12, tension_l1=None):
-    """Normalized irreducible-component weights e^(h.X) q(Gamma).
-
-    h = grad tau at (1, 0) is (tau_l1(0), 0) for the truncated model, so a
-    piece of displacement (dx, dy) and n bonds carries weight
-    exp(tau_l1(0) * dx - beta * n). Returns (law dict {X: prob-mass}, total),
-    where total <= 1 is the truncated OZ normalization sum.
-    """
-    if tension_l1 is None:
-        tension_l1 = tension_l1_axis(beta)
-    table = enumerate_irreducible(k_max=k_max, extra_len=extra_len)
-    law = {}
-    for (dx, dy), counts in table.items():
-        w = sum(mult * math.exp(tension_l1 * dx - beta * nb) for nb, mult in counts)
-        law[(dx, dy)] = w
-    total = sum(law.values())
-    return law, total
-
-
-def enumerated_increment_law(beta, n=0, p=2.0, k_max=8, extra_len=12):
-    """Normalized irreducible-component weights from the irreducible-piece
-    enumeration.
-
-    Reports the truncated mass 1 - sum and a fit of the exponential tail of
-    the |X|_1 mass profile. Status warning when more than 10% is truncated.
-    """
-    if k_max > 8:
-        raise ResourceLimitError("k_max above the stated desk-scale cap of 8")
-    law_w, total = irreducible_increment_weights(beta, k_max=k_max,
-                                                 extra_len=extra_len)
-    steps = sorted(law_w)
-    probs = np.array([law_w[s] for s in steps]) / total
-    trunc = 1.0 - total
-    by_k = {}
-    for (dx, dy), w in law_w.items():
-        k = dx + abs(dy)
-        by_k[k] = by_k.get(k, 0.0) + w / total
-    ks = sorted(k for k in by_k if by_k[k] > 0)
-    rate = float("nan")
-    if len(ks) >= 2:
-        xs = np.array(ks, dtype=float)
-        ys = np.log([by_k[k] for k in ks])
-        A = np.vstack([xs, np.ones_like(xs)]).T
-        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        rate = -float(coef[0]) / beta   # mass ~ exp(-rate * beta * k)
-    law = IncrementLaw(steps=[tuple(s) for s in steps], probs=probs,
-                       source=f"enumerated(beta={beta},n={n},p={p},kmax={k_max})",
-                       truncated_mass=trunc, tail_rate=rate)
-    if trunc > 0.10:
-        law.source += "|WARNING:truncated-mass>10%"
-    return law
+    |r| <= R for the smallest R whose omitted weight
+    sum_{|r| > R} e^(-beta |r|) = 2 t^(R+1) / (1 - t), t = e^-beta, is below
+    TRUNCATION_EPS (the omitted probability is smaller still). The
+    y-variance is 2t / (1-t)^2 up to that truncation."""
+    if not beta > 0:
+        raise StructureError("need beta > 0")
+    t = math.exp(-beta)
+    R = int(math.log(2.0 / ((1.0 - t) * TRUNCATION_EPS)) // beta)
+    dys = np.arange(-R, R + 1)
+    w = np.exp(-beta * np.abs(dys))
+    return IncrementLaw(steps=[(1, int(dy)) for dy in dys], probs=w / w.sum(),
+                        source=f"laplace(beta={beta})")
 
 
 @dataclass
@@ -236,8 +106,9 @@ class TiltedBridgeSpec:
 
 
 def fs_bridge_spec(N, law):
-    """The bridge on which the walk at tilt N with a unit-x-step law is
-    compared with FS(sigma), sigma^2 = law.y_variance.
+    """The bridge on which the walk of `law` at tilt N is compared with
+    FS(sigma), sigma^2 = law.y_variance: every step advances x by one, so
+    that is the variance per unit length.
 
     Width 6 ceil(N^(2/3)); both endpoints at the FS mean height N^(1/3) E[X]
     (the proxy for an infinitely long bridge); floor 1, strictly above the
@@ -253,11 +124,7 @@ def fs_bridge_spec(N, law):
 
 
 def _unit_law(spec):
-    law = spec.law
-    if any(dx != 1 for dx, _ in law.steps):
-        law, _ = law.unit_step_projection()
-    dys = [dy for _, dy in law.steps]
-    return dys, np.asarray(law.probs, dtype=float)
+    return [dy for _, dy in spec.law.steps], spec.law.probs
 
 
 def _height_window(spec):

@@ -50,7 +50,7 @@ def log_partition_directed(M, Y, beta):
 def tension_l1_axis(beta):
     """Closed-form tau_l1(0) of the truncated ensemble:
     beta - log coth(beta/2), from the saddle point of the run generating
-    function. Used to normalize irreducible-increment weights."""
+    function; the reference the transfer estimate is checked against."""
     t = math.exp(-beta)
     return beta - math.log((1.0 + t) / (1.0 - t))
 

@@ -214,11 +214,18 @@ def test_cli_exit_codes(tmp_path):
     assert not (tmp_path / "y").exists()
 
 
-def test_cli_rw_resource_limit(tmp_path):
+def test_cli_rw_oracle_laplace_law(tmp_path):
+    out = tmp_path / "rwout"
     cfgf = tmp_path / "rw.cfg"
-    cfgf.write_text("[pipeline]\nname = rw\n[rw]\nlaw = enumerated\nkmax = 9\n"
-                    f"[out]\ndir = {tmp_path / 'rwout'}\n")
-    assert main(["rw-oracle", "--config", str(cfgf)]) == 4
+    cfgf.write_text("[pipeline]\nname = rw\n[model]\nbeta = 1.3\n"
+                    "[rw]\nlaw = laplace\ntilt_n = 27.0\nsamples = 400\n"
+                    f"[out]\ndir = {out}\n")
+    assert main(["rw-oracle", "--config", str(cfgf)]) == 0
+    rec = json.loads((out / "rw_ks.json").read_text())
+    t = np.exp(-1.3)
+    assert abs(rec["sigma2"] - 2 * t / (1 - t) ** 2) < 1e-12
+    assert rec["law"] == "laplace(beta=1.3)"
+    assert rec["n_paths"] == 400
 
 
 def test_cli_rw_oracle_rejects_enumerated_law(tmp_path, capsys):
@@ -226,8 +233,9 @@ def test_cli_rw_oracle_rejects_enumerated_law(tmp_path, capsys):
     cfgf.write_text("[pipeline]\nname = rw\n[rw]\nlaw = enumerated\n"
                     f"[out]\ndir = {tmp_path / 'rwout'}\n")
     assert main(["rw-oracle", "--config", str(cfgf)]) == 2
-    assert "the single (1, 0) step" in capsys.readouterr().err
-    assert not list((tmp_path / "rwout").iterdir())
+    err = capsys.readouterr().err
+    assert "'basic'" in err and "'laplace'" in err
+    assert not (tmp_path / "rwout").exists()
 
 
 def test_height_fluctuation_exponent_fit():

@@ -8,17 +8,16 @@ from zgff.errors import (DegenerateInputError, InfeasibleError,
                          ResourceLimitError, StructureError)
 from zgff.fs import FSModel, fs_quantile
 from zgff.rw import (IncrementLaw, TiltedBridgeSpec, basic_increment_law,
-                     enumerate_bridge, enumerate_irreducible,
-                     enumerated_increment_law, fs_comparison,
-                     irreducible_increment_weights, sample_tilted_bridge,
-                     transfer_matrix_exact)
+                     enumerate_bridge, fs_comparison, laplace_increment_law,
+                     sample_tilted_bridge, transfer_matrix_exact)
+from zgff.surface import TRUNCATION_EPS
+from zgff.tension import log_partition_directed
 
 
 def test_basic_law_examples():
     law = basic_increment_law(0.25)
     assert law.y_variance == pytest.approx(0.5)
     assert law.mean == (1.0, 0.0)
-    assert law.y_symmetric()
     with pytest.raises(StructureError):
         basic_increment_law(0.0)      # documented degenerate boundary case
     with pytest.raises(StructureError):
@@ -30,65 +29,36 @@ def test_increment_law_validation():
         IncrementLaw(steps=[(1, 0), (1, 1)], probs=[0.6, 0.5])
     with pytest.raises(StructureError):
         IncrementLaw(steps=[(0, 1)], probs=[1.0])
+    with pytest.raises(StructureError):
+        IncrementLaw(steps=[(1, 0), (2, 1)], probs=[0.5, 0.5])
 
 
-def test_enumerated_law_properties():
-    law = enumerated_increment_law(6.0, k_max=6)
-    assert law.truncated_mass < 1e-3
-    assert law.mean[0] > 0
-    assert abs(law.mean[1]) < 1e-12
-    assert law.y_symmetric(tol=1e-12)
-    assert law.tail_rate > 0.3        # exponential tails, rate in beta units
-    v5 = enumerated_increment_law(5.0, k_max=6).y_variance
-    v7 = enumerated_increment_law(7.0, k_max=6).y_variance
-    assert v7 < v5                    # sigma^2 decreasing in beta
-    with pytest.raises(ResourceLimitError):
-        enumerated_increment_law(6.0, k_max=9)
+def test_laplace_law_variance_and_tail():
+    for beta in (0.8, 1.3, 2.0):
+        law = laplace_increment_law(beta)
+        t = math.exp(-beta)
+        assert abs(law.y_variance - 2 * t / (1 - t) ** 2) < 1e-12
+        assert abs(law.mean[1]) < 1e-15
+        R = max(dy for _, dy in law.steps)
+        assert [dy for _, dy in law.steps] == list(range(-R, R + 1))
+        assert t ** (R + 1) < TRUNCATION_EPS    # the first omitted weight
+    with pytest.raises(StructureError):
+        laplace_increment_law(0.0)
 
 
-def test_enumerate_irreducible_small_displacements():
-    table = enumerate_irreducible(k_max=4)
-    assert table[(1, 0)] == [(1, 1)]          # the single horizontal bond
-    assert table[(2, 1)] == [(3, 1)]          # E,U,E corner piece
-    assert table[(2, -1)] == [(3, 1)]
-    assert (2, 0) not in table                # E,E splits at the middle point
-    assert (1, 1) not in table                # no room inside the cones
-
-
-def test_oz_normalization_monotone_in_truncation():
-    beta = 6.0
-    totals = []
-    for k in (2, 4, 6, 8):
-        _, total = irreducible_increment_weights(beta, k_max=k)
-        totals.append(total)
-    assert all(a <= b + 1e-15 for a, b in zip(totals, totals[1:]))
-    assert totals[-1] <= 1.0 + 1e-12
-    assert 1.0 - totals[2] < 1e-3            # truncated mass at k_max = 6
-
-
-def test_increment_law_moments():
-    law, total = irreducible_increment_weights(6.0, k_max=6)
-    mean_x = sum(X[0] * w for X, w in law.items()) / total
-    mean_y = sum(X[1] * w for X, w in law.items()) / total
-    assert mean_x > 0
-    assert abs(mean_y) < 1e-12
-    var4 = _variance(*irreducible_increment_weights(6.0, k_max=4))
-    var8 = _variance(*irreducible_increment_weights(6.0, k_max=8))
-    assert var8 > 0
-    assert abs(var8 - var4) / var8 < 0.02
-
-
-def _variance(law, total):
-    mean_y = sum(X[1] * w for X, w in law.items()) / total
-    return sum(X[1] ** 2 * w for X, w in law.items()) / total - mean_y ** 2
-
-
-def test_unit_step_projection():
-    law = enumerated_increment_law(6.0, k_max=6)
-    unit, dropped = law.unit_step_projection()
-    assert all(dx == 1 for dx, _ in unit.steps)
-    assert dropped < 0.01
-    assert abs(sum(unit.probs) - 1.0) < 1e-12
+def test_laplace_bridge_partition_matches_log_partition_directed():
+    # a tilt-free bridge of M + 1 Laplace steps sums the polymer's M + 1
+    # vertical runs, each normalized by coth(beta/2)
+    for beta in (1.3, 2.0):
+        law = laplace_increment_law(beta)
+        R = max(dy for _, dy in law.steps)
+        for M, Y in ((1, 0), (2, 1), (2, 3)):
+            spec = TiltedBridgeSpec(u=(0, 0), v=(M + 1, Y), floor=-R * (M + 1),
+                                    tilt_N=math.inf, law=law)
+            _, w = enumerate_bridge(spec)
+            lhs = log_partition_directed(M, Y, beta) + beta * M
+            rhs = (M + 1) * math.log(1 / math.tanh(beta / 2)) + math.log(w.sum())
+            assert abs(lhs - rhs) < 1e-12, (beta, M, Y)
 
 
 def test_two_path_bridge_closed_form():
@@ -120,18 +90,20 @@ def test_infeasible_endpoints_under_support():
 
 
 def test_transfer_matches_enumeration_to_1e12():
-    law = basic_increment_law(0.25)
-    spec = TiltedBridgeSpec(u=(0, 1), v=(6, 2), floor=0, tilt_N=5.0, law=law,
-                            ceiling=6)
-    heights, marg = transfer_matrix_exact(spec)
-    paths, w = enumerate_bridge(spec)
-    w = w / w.sum()
-    for col in range(7):
-        exact = np.zeros(len(heights))
-        for pth, ww in zip(paths, w):
-            exact[pth[col] - heights[0]] += ww
-        assert np.abs(exact - marg[col]).max() < 1e-12
-        assert abs(marg[col].sum() - 1.0) < 1e-12
+    basic = TiltedBridgeSpec(u=(0, 1), v=(6, 2), floor=0, tilt_N=5.0,
+                             law=basic_increment_law(0.25), ceiling=6)
+    laplace = TiltedBridgeSpec(u=(0, 1), v=(3, 2), floor=0, tilt_N=5.0,
+                               law=laplace_increment_law(2.0), ceiling=12)
+    for spec in (basic, laplace):
+        heights, marg = transfer_matrix_exact(spec)
+        paths, w = enumerate_bridge(spec)
+        w = w / w.sum()
+        for col in range(spec.width + 1):
+            exact = np.zeros(len(heights))
+            for pth, ww in zip(paths, w):
+                exact[pth[col] - heights[0]] += ww
+            assert np.abs(exact - marg[col]).max() < 1e-12
+            assert abs(marg[col].sum() - 1.0) < 1e-12
 
 
 def test_untilted_bridge_symmetries():
