@@ -2,9 +2,11 @@
 """Observational scaling study of the top level-line fluctuation width.
 
 Samples the surface at several side lengths (warm-started at the plateau
-height), takes the top level-1 loop (`top_level_loop`, as the end-to-end
-pipeline does), records the standard deviation of its lowest crossing height
-over the center column, and fits the growth exponent against L.
+height) and records, through `zgff.experiments.fluctuation_scale`, the
+standard deviation of the top level-1 line's lowest crossing height over the
+centre column, then fits the growth exponent against L. The top line is
+`top_level_loop`'s, as in the end-to-end pipeline, and acceptance criterion 9
+reads its scales through the same function.
 
 Caveats, measured not guessed: at beta >= 2 no desk-scale L has macroscopic
 level lines at all (the plateau height H(L) is 0 there). In the plateau
@@ -22,35 +24,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from zgff.experiments import height_fluctuation_exponent
-from zgff.levellines import top_level_loop
-from zgff.mcmc import sample_equilibrium
-from zgff.surface import ModelParams, SurfaceConfig, build_boundary
-
-
-def fluctuation_scale(L, beta, p, n_snapshots, seed, thin=4, burn=80,
-                      warm_height=1):
-    params = ModelParams(p=p, beta=beta, floor_spec=0)
-    init = SurfaceConfig.flat(L, value=warm_height,
-                              boundary=build_boundary(("all", 0), L), floor=0)
-    snaps, diag = sample_equilibrium(params, L, n_snapshots * thin + burn,
-                                     burn, thin, seed=seed, initial=init,
-                                     scan_order="checkerboard")
-    rho0 = []
-    misses = 0
-    for snap in snaps:
-        top = top_level_loop(snap, 1)
-        hits = top.column_hits(L // 2) if top is not None else []
-        if hits:
-            rho0.append(hits[0])
-        else:
-            misses += 1
-    return {"L": L, "n_used": len(rho0), "n_missing": misses,
-            "mean": float(np.mean(rho0)) if rho0 else None,
-            "scale": float(np.std(rho0)) if rho0 else None,
-            "autocorr_sweeps": diag["autocorr_time_sweeps"]}
+from zgff.experiments import fluctuation_scale, height_fluctuation_exponent
 
 
 def main():

@@ -15,6 +15,7 @@ from .errors import ConfigError
 PIPELINES = ("surface", "scales", "fs", "rw", "tension", "levellines", "endtoend")
 LAWS = ("basic", "laplace")
 
+# the only sections and keys a config may set; each value's type is the key's
 _DEFAULTS = {
     "model": {"p": 2.0, "beta": 2.0, "boundary": "all:0", "floor": "none",
               "ceiling": "none"},
@@ -26,17 +27,6 @@ _DEFAULTS = {
     "fs": {"sigma": 1.0, "dt": 1e-3, "steps": 200000, "paths": 50, "x0": 1.0},
     "tension": {"beta": 2.5, "n": 0},
     "out": {"dir": "out"},
-}
-
-_TYPES = {
-    ("model", "p"): float, ("model", "beta"): float,
-    ("lattice", "L"): int,
-    ("run", "sweeps"): int, ("run", "burnin"): int, ("run", "thinning"): int,
-    ("run", "seed"): int, ("run", "levels"): int,
-    ("rw", "q"): float, ("rw", "tilt_n"): float, ("rw", "samples"): int,
-    ("fs", "sigma"): float, ("fs", "dt"): float, ("fs", "steps"): int,
-    ("fs", "paths"): int, ("fs", "x0"): float,
-    ("tension", "beta"): float, ("tension", "n"): int,
 }
 
 
@@ -55,7 +45,7 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, text):
-        sections = {s: dict(kv) for s, kv in _DEFAULTS.items()}
+        cfg = cls.default()
         current = None
         for i, line in enumerate(text.splitlines(), 1):
             s = line.strip()
@@ -63,15 +53,15 @@ class ExperimentConfig:
                 continue
             if s.startswith("[") and s.endswith("]"):
                 current = s[1:-1].strip()
-                sections.setdefault(current, {})
+                if current not in _DEFAULTS:
+                    raise ConfigError(f"line {i}: unknown section [{current}]")
                 continue
             if "=" not in s:
                 raise ConfigError(f"line {i}: expected key = value, got {s!r}")
             if current is None:
                 raise ConfigError(f"line {i}: key before any [section]")
             k, _, v = s.partition("=")
-            sections[current][k.strip()] = _coerce(current, k.strip(), v.strip())
-        cfg = cls(sections=sections)
+            cfg.set(current, k.strip(), v.strip())
         cfg.validate()
         return cfg
 
@@ -87,7 +77,9 @@ class ExperimentConfig:
             raise ConfigError(f"missing config key [{section}] {key}") from None
 
     def set(self, section, key, value):
-        self.sections.setdefault(section, {})[key] = _coerce(section, key, value)
+        if key not in _DEFAULTS.get(section, ()):
+            raise ConfigError(f"unknown config key [{section}] {key}")
+        self.sections[section][key] = _coerce(section, key, value)
 
     def validate(self):
         name = self.get("pipeline", "name")
@@ -136,15 +128,14 @@ def _fmt(v):
 
 
 def _coerce(section, key, value):
-    ty = _TYPES.get((section, key))
-    if isinstance(value, str):
-        if ty is not None:
-            try:
-                return ty(value)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key}: cannot parse {value!r}") from None
+    """value as the type of the key's default; string keys take it as is."""
+    ty = type(_DEFAULTS[section][key])
+    if ty is str or isinstance(value, bool):
         return value
-    return ty(value) if ty is not None and not isinstance(value, bool) else value
+    try:
+        return ty(value)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: cannot parse {value!r}") from None
 
 
 def model_params_from(cfg: ExperimentConfig):

@@ -29,7 +29,7 @@ from .rw import (basic_increment_law, fs_bridge_spec, fs_comparison,
 from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
                      proxy_box_side)
 from .stats import correlation
-from .surface import write_snapshot
+from .surface import ModelParams, SurfaceConfig, write_snapshot
 from .tension import tension_table, unit_wulff, wulff_from_table
 
 
@@ -285,14 +285,10 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
         lines.append(",".join(vals))
     _write_lines(os.path.join(out_dir, "profiles.csv"), lines)
 
-    ks_by_level = {}
-    for n in range(m):
-        ys = np.asarray(list(y0_by_level[n].values()))
-        if len(ys) >= 10:
-            model = FSModel(sigma=sigma)
-            ks_by_level[n] = float(ks_distance(ys, model))
-        else:
-            ks_by_level[n] = None
+    y0s = [np.asarray(list(y0_by_level[n].values())) for n in range(m)]
+    model = FSModel(sigma=sigma) if any(len(ys) >= 10 for ys in y0s) else None
+    ks_by_level = {n: float(ks_distance(ys, model)) if len(ys) >= 10 else None
+                   for n, ys in enumerate(y0s)}
     cross = None
     if m >= 2:
         a = y0_by_level[0]
@@ -342,3 +338,23 @@ def height_fluctuation_exponent(levels_by_L):
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[0])
+
+
+def fluctuation_scale(L, beta, p, n_snapshots, seed, thin=4, burn=80,
+                      warm_height=1):
+    """Spread of the top level-1 line's lowest centre-column hit over
+    n_snapshots checkerboard snapshots at side L, started flat at
+    warm_height (0 is sample_equilibrium's default start)."""
+    params = ModelParams(p=p, beta=beta, floor_spec=0)
+    init = SurfaceConfig.flat(L, value=warm_height, floor=0)
+    snaps, diag = sample_equilibrium(params, L, n_snapshots * thin + burn,
+                                     burn, thin, seed=seed, initial=init,
+                                     scan_order="checkerboard")
+    rho0 = []
+    for snap in snaps:
+        top = top_level_loop(snap, 1)
+        rho0 += top.column_hits(L // 2)[:1] if top is not None else []
+    return {"L": L, "n_used": len(rho0), "n_missing": len(snaps) - len(rho0),
+            "mean": float(np.mean(rho0)) if rho0 else None,
+            "scale": float(np.std(rho0)) if rho0 else None,
+            "autocorr_sweeps": diag["autocorr_time_sweeps"]}

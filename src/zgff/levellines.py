@@ -98,14 +98,24 @@ _NE_PAIR = {"W": "N", "N": "W", "E": "S", "S": "E"}
 
 def _corner_slots(config: SurfaceConfig, h):
     """(L+1, L+1) array of slot masks: bit i of [a, b] is set when the level-h
-    bond in slot _SLOTS[i] of corner (a, b) is in the disagreement set."""
+    bond in slot _SLOTS[i] of corner (a, b) is in the disagreement set.
+
+    StructureError names the raster-first odd-degree corner, found on the
+    border exactly where two adjacent ring sites straddle the level; an inner
+    corner touches four cells, so its degree is even."""
     L = config.L
     hi = config.padded() >= h
     horiz = np.zeros((L + 2, L + 1), dtype=np.uint8)   # [a + 1, b]: (a, b, 'h')
     horiz[1:L + 1] = hi[1:L + 1, :-1] != hi[1:L + 1, 1:]
     vert = np.zeros((L + 1, L + 2), dtype=np.uint8)    # [a, b + 1]: (a, b, 'v')
     vert[:, 1:L + 1] = hi[:-1, 1:L + 1] != hi[1:, 1:L + 1]
-    return horiz[:-1] | horiz[1:] << 1 | vert[:, :-1] << 2 | vert[:, 1:] << 3
+    slots = horiz[:-1] | horiz[1:] << 1 | vert[:, :-1] << 2 | vert[:, 1:] << 3
+    odd = sorted([(a, b) for a in (0, L) for b in np.flatnonzero(_ODD[slots[a]]).tolist()]
+                 + [(a, b) for b in (0, L) for a in np.flatnonzero(_ODD[slots[:, b]]).tolist()])
+    if odd:
+        raise StructureError(f"corner {odd[0]} has degree "
+                             f"{bin(int(slots[odd[0]])).count('1')}")
+    return slots
 
 
 def _exit_table():
@@ -122,7 +132,7 @@ def _exit_table():
 
 
 _EXIT = _exit_table()
-_ODD_MASKS = [m for m in range(16) if bin(m).count("1") % 2]
+_ODD = np.array([bin(m).count("1") % 2 for m in range(16)], dtype=bool)
 
 
 def _trace(slots, start):
@@ -157,63 +167,47 @@ def extract_level_lines(config: SurfaceConfig, h):
     Returns a list of LevelLoop whose bond sets partition the disagreement
     dual set for level h.
     """
-    return _loops(_corner_slots(config, h), h, config.L)
-
-
-def _check_even(slots):
-    """Raise StructureError at the first odd-degree corner in raster order;
-    one occurs exactly where the ring is split across the level."""
-    odd = np.argwhere(np.isin(slots, _ODD_MASKS))
-    if len(odd):
-        a, b = (int(v) for v in odd[0])
-        raise StructureError(f"corner {(a, b)} has degree "
-                             f"{bin(int(slots[a, b])).count('1')}")
-
-
-def _loops(slots, h, L):
-    """All loops on the corner slot masks of level h (extract_level_lines)."""
-    _check_even(slots)
+    slots = _corner_slots(config, h)
     # each bond once: as the E slot (h) or the N slot (v) of its corner
     ha, hb = np.nonzero(slots & 2)
     va, vb = np.nonzero(slots & 8)
     ordered = sorted([(a, b, "h") for a, b in zip(ha.tolist(), hb.tolist())]
                      + [(a, b, "v") for a, b in zip(va.tolist(), vb.tolist())])
-    if not ordered:
-        return []
     slots = slots.tolist()
-    thresh = macroscopic_threshold(L)
+    thresh = macroscopic_threshold(config.L)
     unused = set(ordered)
-    cursor = 0
     loops = []
-    while unused:
-        while ordered[cursor] not in unused:
-            cursor += 1
-        loop_bonds = _trace(slots, ordered[cursor])
-        unused.difference_update(loop_bonds)
-        loops.append(_make_loop(h, loop_bonds, thresh))
+    for start in ordered:
+        if start in unused:
+            loop_bonds = _trace(slots, start)
+            unused.difference_update(loop_bonds)
+            loops.append(_make_loop(h, loop_bonds, thresh))
     return loops
 
 
 def top_level_loop(config: SurfaceConfig, h):
-    """The macroscopic level-h loop of largest interior area, or None.
+    """The largest macroscopic level-h loop crossing the centre cell column
+    x = L // 2 (ties to the lowest crossing), or None.
 
-    When the whole ring is below h, only the loop through the lowest level-h
-    crossing of the centre column is traced. Every cell below that crossing
-    is below h, so no loop encloses this one and every other loop lies
-    inside it or outside it; an interior of more than L^2 / 2 cells
-    therefore makes it the unique largest loop. Otherwise all loops are
-    extracted.
+    The loop through each of the column's crossings, upwards from b = 0, is
+    traced unless already traced. The first enclosing more than L^2 / 2
+    cells is the largest loop of the level: any such loop crosses the
+    column, and a loop enclosing it is met lower down.
     """
-    L = config.L
+    L, c = config.L, config.L // 2
     slots = _corner_slots(config, h)
-    column = config.heights[L // 2] >= h
-    if max(config.boundary.values()) < h and column.any():
-        start = (L // 2, int(np.argmax(column)), "h")
-        loop = _make_loop(h, _trace(slots, start), macroscopic_threshold(L))
-        if loop.macroscopic and 2 * loop.interior_area > L * L:
+    thresh = macroscopic_threshold(L)
+    traced, macro = set(), []
+    for b in np.flatnonzero(slots[c] & 2).tolist():
+        if b in traced:
+            continue
+        loop = _make_loop(h, _trace(slots, (c, b, "h")), thresh)
+        if 2 * loop.interior_area > L * L:
             return loop
-    macro = [lp for lp in _loops(slots, h, L) if lp.macroscopic]
-    return max(macro, key=lambda lp: lp.interior_area) if macro else None
+        traced.update(bb for a, bb, d in loop.bonds if d == "h" and a == c)
+        if loop.macroscopic:
+            macro.append(loop)
+    return max(macro, key=lambda lp: lp.interior_area, default=None)
 
 
 def enclosed_region(config: SurfaceConfig, h):
@@ -223,7 +217,6 @@ def enclosed_region(config: SurfaceConfig, h):
     exactly {phi >= h}; used for the monotone-containment check."""
     L = config.L
     slots = _corner_slots(config, h)
-    _check_even(slots)
     xs, bs = np.nonzero(np.cumsum(slots[:L, :L] >> 3 & 1, axis=0) & 1)
     return set(zip(xs.tolist(), bs.tolist()))
 

@@ -269,43 +269,16 @@ def test_criterion_9_observational_end_to_end():
     N = 1/P(H) does not move with L until the next plateau transition,
     orders of magnitude beyond L = 512)."""
     t0 = time.time()
-    from zgff.mcmc import sample_equilibrium
-    from zgff.surface import build_boundary
-    from zgff.experiments import height_fluctuation_exponent
+    from zgff.experiments import fluctuation_scale, height_fluctuation_exponent
 
     n_snaps = int(os.environ.get("ZGFF_EXTENDED_SNAPSHOTS", "100"))
-
-    def fluctuation_scale(L, beta, seed, warm):
-        params = ModelParams(p=2, beta=beta, floor_spec=0)
-        init = None
-        if warm:
-            init = SurfaceConfig.flat(L, value=1,
-                                      boundary=build_boundary(("all", 0), L),
-                                      floor=0)
-        thin = 4
-        snaps, _ = sample_equilibrium(params, L, n_snaps * thin + 80, 80,
-                                      thin, seed=seed, initial=init,
-                                      scan_order="checkerboard")
-        rho = []
-        for snap in snaps:
-            loops = [lp for lp in extract_level_lines(snap, 1)
-                     if lp.macroscopic]
-            if not loops:
-                continue
-            top = max(loops, key=lambda lp: lp.interior_area)
-            if (L // 2, L // 2) not in top.interior_cells():
-                continue
-            hits = top.column_hits(L // 2)
-            if hits:
-                rho.append(hits[0])
-        return len(rho), (float(np.std(rho)) if rho else None)
 
     # observational companion in the plateau regime
     companion = {}
     for L in (128, 256, 512):
-        n_used, scale = fluctuation_scale(L, 0.9, seed=L + 1, warm=True)
-        companion[L] = scale
-        print(f"[criterion 9] companion beta=0.9 L={L}: n={n_used} "
+        row = fluctuation_scale(L, 0.9, 2, n_snaps, seed=L + 1)
+        companion[L] = scale = row["scale"]
+        print(f"[criterion 9] companion beta=0.9 L={L}: n={row['n_used']} "
               f"sigma(rho0)={scale if scale is None else round(scale, 3)}")
     usable = {L: s for L, s in companion.items() if s}
     if len(usable) >= 2:
@@ -316,9 +289,10 @@ def test_criterion_9_observational_end_to_end():
     # the criterion as stated
     stated = {}
     for L in (128, 256, 512):
-        n_used, scale = fluctuation_scale(L, 2.5, seed=L, warm=False)
-        stated[L] = scale
-        print(f"[criterion 9] stated beta=2.5 L={L}: n={n_used} scale={scale}")
+        row = fluctuation_scale(L, 2.5, 2, n_snaps, seed=L, warm_height=0)
+        stated[L] = row["scale"]
+        print(f"[criterion 9] stated beta=2.5 L={L}: n={row['n_used']} "
+              f"scale={row['scale']}")
     usable = {L: s for L, s in stated.items() if s}
     if len(usable) < 2:
         pytest.fail(

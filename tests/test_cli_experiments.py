@@ -188,7 +188,7 @@ def test_surface_pipeline_runs_checkerboard_chain_at_small_L(tmp_path):
         assert np.array_equal(written.heights, snap.heights), i
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[pipeline]\nname = bogus\n")
     assert main(["scales", "--config", str(bad)]) == 2
@@ -201,17 +201,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "x"), "--sweeps", "5",
                  "--burnin", "9"]) == 2
 
-    # run parameters out of range or an unknown increment law -> config
-    # error, before any run starts
-    typo = tmp_path / "typo.cfg"
-    typo.write_text("[rw]\nlaw = enumrated\n")
+    # run parameters out of range, an unknown increment law, or a section or
+    # key outside the defaults -> config error, before any run starts
+    typos = [tmp_path / f"typo{i}.cfg" for i in range(4)]
+    for path, text in zip(typos, ("[rw]\nlaw = enumrated\n", "[rw]\nkmax = 6\n",
+                                  "[rw]\nkmx = 3\n", "[bogus]\nx = 1\n")):
+        path.write_text(text)
     for argv in (["simulate", "--thin", "0", "--sweeps", "5", "--burnin", "1"],
                  ["simulate", "--thin", "-1", "--sweeps", "5", "--burnin", "1"],
                  ["scales", "--L", "0"], ["simulate", "--L", "-3"],
                  ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"],
-                 ["endtoend", "--config", str(typo)]):
+                 *(["endtoend", "--config", str(t)] for t in typos)):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("[rw] kmax", "[rw] kmx", "[bogus]"))
 
 
 def test_cli_rw_oracle_laplace_law(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,21 +213,23 @@ def test_loops_to_records_shape():
 
 
 def _largest_macroscopic(config, h):
-    macro = [lp for lp in extract_level_lines(config, h) if lp.macroscopic]
-    return max(macro, key=lambda lp: lp.interior_area) if macro else None
+    """The largest macroscopic level-h loop of the full extraction with a bond
+    (L // 2, b, 'h'), ties going to the lowest such bond, or None."""
+    lowest = {}
+    for lp in extract_level_lines(config, h):
+        bs = [b for a, b, d in lp.bonds if d == "h" and a == config.L // 2]
+        if lp.macroscopic and bs:
+            lowest[min(bs)] = lp
+    return max(lowest.items(), key=lambda e: (e[1].interior_area, -e[0]),
+               default=(None, None))[1]
 
 
 def _count_extractions(monkeypatch):
-    # levels at which every loop is extracted (extract_level_lines' core)
+    # levels at which every loop is extracted
     import zgff.levellines as ll
-    calls = []
-    real = ll._loops
-
-    def counted(slots, h, L):
-        calls.append(h)
-        return real(slots, h, L)
-
-    monkeypatch.setattr(ll, "_loops", counted)
+    calls, real = [], ll.extract_level_lines
+    monkeypatch.setattr(ll, "extract_level_lines",
+                        lambda config, h: calls.append(h) or real(config, h))
     return calls
 
 
@@ -253,27 +257,63 @@ def test_top_level_loop_matches_largest_loop_on_sampled_plateaus(monkeypatch):
 
 
 def test_top_level_loop_fallbacks(monkeypatch):
-    # small plateau: the traced loop encloses less than half the box
+    # small plateau: the loop encloses less than half the box
     small = SurfaceConfig.flat(32)
     small.heights[12:20, 10:18] = 1
     small.heights[2, 2] = 1
     # ring at the level (split-arc on every side): loops wind around the low
-    # regions, and the largest is not the one through the centre column
+    # regions, and the column meets both
     raised = SurfaceConfig.flat(32, value=1, boundary=build_boundary(
         ("split-arc", ("top", "right", "bottom", "left")), 32, H=1, n=0))
     raised.heights[3:29, 2:20] = 0
     raised.heights[14:18, 24:28] = 0
-    # centre column entirely below the level, a macroscopic loop elsewhere
+    # centre column entirely below the level, a macroscopic loop elsewhere,
+    # which cannot give Y(0)
     offside = SurfaceConfig.flat(32)
     offside.heights[2:12, 4:28] = 1
-    cases = [small, raised, offside]
-    refs = [_largest_macroscopic(c, 1) for c in cases]
+    refs = [_largest_macroscopic(c, 1) for c in (small, raised)]
+    assert any(lp.macroscopic for lp in extract_level_lines(offside, 1))
     calls = _count_extractions(monkeypatch)
-    for cfg, ref in zip(cases, refs):
+    for cfg, ref in zip((small, raised), refs):
         top = top_level_loop(cfg, 1)
         assert set(top.bonds) == set(ref.bonds)
         assert top.interior_area == ref.interior_area
-    assert calls == [1, 1, 1]
+    assert top_level_loop(offside, 1) is None
+    assert calls == []          # no level was extracted whole
+
+
+def _first_odd_corner(cfg, h):
+    """The raster-first odd-degree corner of the brute-force dual set, with
+    its degree, or None."""
+    degree = Counter()
+    for a, b, d in disagreement_duals_reference(cfg.padded(), h):
+        degree.update([(a, b), (a + 1, b) if d == "h" else (a, b + 1)])
+    odd = sorted(c for c, k in degree.items() if k % 2)
+    return (odd[0], degree[odd[0]]) if odd else None
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_top_level_loop_matches_column_reference(seed):
+    # rings wholly below the level, at it, above it, and split across it; a
+    # split ring raises at the raster-first odd corner of the whole grid
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(2, 11))
+    cfg = SurfaceConfig.flat(L)
+    cfg.heights[:, :] = rng.integers(0, 4, size=(L, L))
+    ring = list(build_boundary(("all", 0), L))
+    for h in range(1, 4):
+        lo, hi = [(h - 2, h), (h, h + 1), (h, h + 3), (h - 2, h + 2)][rng.integers(4)]
+        cfg.boundary = dict(zip(ring, rng.integers(lo, hi, size=len(ring)).tolist()))
+        odd = _first_odd_corner(cfg, h)
+        if odd is not None:
+            for fn in (top_level_loop, extract_level_lines, enclosed_region):
+                with pytest.raises(StructureError, match=re.escape(
+                        "corner {} has degree {}".format(*odd))):
+                    fn(cfg, h)
+            continue
+        ref, top = _largest_macroscopic(cfg, h), top_level_loop(cfg, h)
+        assert (top and set(top.bonds)) == (ref and set(ref.bonds))
 
 
 def _profile_reference(loop, N_n, L):
