@@ -100,13 +100,20 @@ def run_surface(cfg, out_dir):
     return artifacts, summary
 
 
+def _scale_table(cfg, params):
+    """The config's height histogram and scale table: max(2000, sweeps)
+    samples of the proxy box at seed + 101, as every pipeline reads them."""
+    L = cfg.get("lattice", "L")
+    hist = estimate_height_prob(params, proxy_box_side(L),
+                                max(2000, cfg.get("run", "sweeps")),
+                                cfg.get("run", "seed") + 101)
+    return hist, compute_scales(hist, L, m=cfg.get("run", "levels"))
+
+
 def run_scales(cfg, out_dir):
-    params = model_params_from(cfg)
     L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
-    hist = estimate_height_prob(params, proxy_box_side(L), cfg.get("run", "sweeps"),
-                                seed)
-    table = compute_scales(hist, L, m=cfg.get("run", "levels"))
+    hist, table = _scale_table(cfg, model_params_from(cfg))
     lines = [f"# config_hash={cfg.hash()}", "h,prob,ci_half,L_h"]
     for h in sorted(hist.probs):
         lh = table.L_h.get(h, "")
@@ -159,7 +166,7 @@ def run_rw_oracle(cfg, out_dir):
     spec = fs_bridge_spec(N, law)
     W = spec.width
     win = W // 6
-    heights, marg = transfer_matrix_exact(spec, enforce_caps=False)
+    heights, marg = transfer_matrix_exact(spec)
     lines = [f"# config_hash={cfg.hash()}", "t,height,probability"]
     for col in (W // 2 - win, W // 2, W // 2 + win):
         t = (col - W // 2) / win
@@ -231,10 +238,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     m = cfg.get("run", "levels")
     sigma = math.sqrt(_increment_law(cfg).y_variance)
     if scale_table is None:
-        hist = estimate_height_prob(params, proxy_box_side(L),
-                                    max(2000, cfg.get("run", "sweeps")),
-                                    seed + 101)
-        scale_table = compute_scales(hist, L, m=m)
+        _, scale_table = _scale_table(cfg, params)
     if scale_table.L_in_bad_set:
         iv = next(i for i in scale_table.bad_intervals if i[0] <= L <= i[1])
         raise InfeasibleError(

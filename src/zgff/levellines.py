@@ -222,8 +222,10 @@ def enclosed_region(config: SurfaceConfig, h):
 
 
 def nesting_report(config: SurfaceConfig, h_max=None):
-    """Per level: loop counts, macroscopic counts, uniqueness; plus whether
-    the unique top loops are nested by containment across levels.
+    """Per level: loop counts, macroscopic counts and uniqueness, and the
+    area of the top loop (top_level_loop; a level without one gets no
+    top_area); plus whether the top loops of consecutive levels are nested
+    by containment.
 
     Violations are reported, not fatal.
     """
@@ -233,18 +235,16 @@ def nesting_report(config: SurfaceConfig, h_max=None):
     top_loops = {}
     for h in range(0, h_max + 2):
         loops = extract_level_lines(config, h)
-        macro = [lp for lp in loops if lp.macroscopic]
+        n_macro = sum(lp.macroscopic for lp in loops)
         entry = {
             "level": h,
             "n_loops": len(loops),
-            "n_macroscopic": len(macro),
-            "unique_macroscopic": len(macro) == 1,
+            "n_macroscopic": n_macro,
+            "unique_macroscopic": n_macro == 1,
         }
-        pool = macro if macro else loops
-        if len(pool) >= 1:
-            top = max(pool, key=lambda lp: lp.interior_area)
+        top = top_level_loop(config, h)
+        if top is not None:
             entry["top_area"] = top.interior_area
-            entry["unique_top"] = len(pool) == 1
             top_loops[h] = top
         per_level.append(entry)
     nested = True

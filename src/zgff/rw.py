@@ -15,56 +15,48 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateInputError, InfeasibleError, ResourceLimitError,
                      StructureError)
 from .fs import FSModel, ks_distance
 from .surface import TRUNCATION_EPS
 
-ORACLE_MAX_WIDTH = 20
-ORACLE_MAX_CAP = 40
-
 
 @dataclass
 class IncrementLaw:
-    steps: list                   # [(1, dy)]: every step advances x by one
+    dys: np.ndarray               # y-steps; every step advances x by one
     probs: np.ndarray
     source: str = "basic"
 
     def __post_init__(self):
+        self.dys = np.asarray(self.dys)
         self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.steps) != len(self.probs):
-            raise StructureError("steps/probs length mismatch")
+        if (self.dys.ndim != 1 or self.dys.dtype.kind != "i"
+                or len(self.dys) != len(self.probs)):
+            raise StructureError("dys must be a 1-D integer array as long as probs")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise StructureError("probabilities must sum to 1 within 1e-12")
-        if any(dx != 1 for dx, _ in self.steps):
-            raise StructureError("every step must have x component 1")
-
-    @property
-    def mean(self):
-        my = sum(p * dy for (_, dy), p in zip(self.steps, self.probs))
-        return (1.0, float(my))
 
     @property
     def y_variance(self):
-        my = self.mean[1]
-        return float(sum(p * (dy - my) ** 2
-                         for (_, dy), p in zip(self.steps, self.probs)))
+        my = sum(self.probs * self.dys)
+        return float(sum(self.probs * (self.dys - my) ** 2))
 
 
 def basic_increment_law(q):
     """Three-step caricature of the low-temperature increments:
-    (1,0) with 1-2q, (1,+-1) with q each; y-variance 2q."""
+    y-step 0 with 1-2q, +-1 with q each; y-variance 2q."""
     if not 0 < q < 0.5:
         raise StructureError("need 0 < q < 1/2 (q = 0 degenerates to a "
                              "deterministic horizontal walk)")
-    return IncrementLaw(steps=[(1, 0), (1, 1), (1, -1)],
-                        probs=[1 - 2 * q, q, q], source=f"basic(q={q})")
+    return IncrementLaw(dys=[0, 1, -1], probs=[1 - 2 * q, q, q],
+                        source=f"basic(q={q})")
 
 
 def laplace_increment_law(beta):
     """The effective walk of the truncated polymer ensemble of tension.py:
-    steps (1, r) with weight e^(-beta |r|), one free vertical run per column,
+    y-steps r with weight e^(-beta |r|), one free vertical run per column,
     so that exp(beta M) Z(M, Y) is coth(beta/2)^(M+1) times the probability
     that M + 1 steps of the walk sum to Y.
 
@@ -78,8 +70,7 @@ def laplace_increment_law(beta):
     R = int(math.log(2.0 / ((1.0 - t) * TRUNCATION_EPS)) // beta)
     dys = np.arange(-R, R + 1)
     w = np.exp(-beta * np.abs(dys))
-    return IncrementLaw(steps=[(1, int(dy)) for dy in dys], probs=w / w.sum(),
-                        source=f"laplace(beta={beta})")
+    return IncrementLaw(dys=dys, probs=w / w.sum(), source=f"laplace(beta={beta})")
 
 
 @dataclass
@@ -123,41 +114,27 @@ def fs_bridge_spec(N, law):
                             law=law, ceiling=cap)
 
 
-def _unit_law(spec):
-    return [dy for _, dy in spec.law.steps], spec.law.probs
+def _step_terms(v, dys, probs):
+    """The (len(v), len(dys)) terms probs[j] * v[y + dys[j]] of one column
+    step, zero where y + dys[j] leaves the window. Held step-major, so a row
+    sum adds the steps in law order."""
+    r = int(np.abs(dys).max())
+    windows = sliding_window_view(np.pad(v, r), 2 * r + 1)
+    return (probs[:, None] * windows.T[dys + r]).T
 
 
-def _height_window(spec):
+def _forward_backward(spec):
+    """Forward/backward vectors of the tilted bridge over its height window.
+    Returns (fwd, bwd, heights, site_factor) with fwd[i] * bwd[i]
+    proportional to the column-i marginal."""
+    dys, probs = spec.law.dys, spec.law.probs
+    W = spec.width
     lo = spec.floor
     if spec.ceiling is not None:
         hi = spec.ceiling
     else:
-        dys, _ = _unit_law(spec)
-        span = max(abs(d) for d in dys) * spec.width
-        hi = max(spec.u[1], spec.v[1]) + span
-    return lo, hi
-
-
-def _shift(v, dy):
-    """v moved dy places up the height axis, zero-filled: out[i] = v[i - dy]."""
-    out = np.zeros_like(v)
-    if dy >= 0:
-        out[dy:] = v[:max(len(v) - dy, 0)]
-    else:
-        out[:dy] = v[-dy:]
-    return out
-
-
-def _forward_backward(spec, cap=None):
-    """Forward/backward vectors of the tilted bridge on heights
-    floor..floor+cap. Returns (fwd, bwd, heights, site_factor) with
-    fwd[i] * bwd[i] proportional to the column-i marginal."""
-    dys, probs = _unit_law(spec)
-    lo, hi = _height_window(spec)
-    if cap is not None:
-        hi = min(hi, lo + cap)
+        hi = max(spec.u[1], spec.v[1]) + int(np.abs(dys).max()) * W
     n_h = hi - lo + 1
-    W = spec.width
     if spec.tilt_N == math.inf:
         site = np.ones(n_h)
     else:
@@ -169,10 +146,7 @@ def _forward_backward(spec, cap=None):
         raise InfeasibleError("endpoint outside the height window")
     fwd[0, iu] = site[iu]
     for i in range(1, W + 1):
-        acc = np.zeros(n_h)
-        for dy, p in zip(dys, probs):
-            acc += p * _shift(fwd[i - 1], dy)
-        acc *= site
+        acc = _step_terms(fwd[i - 1], -dys, probs).sum(axis=1) * site
         m = acc.max()
         if m <= 0.0:
             raise InfeasibleError("endpoints infeasible under the step support")
@@ -180,10 +154,7 @@ def _forward_backward(spec, cap=None):
     bwd = np.zeros((W + 1, n_h))
     bwd[W, iv] = 1.0
     for i in range(W - 1, -1, -1):
-        acc = np.zeros(n_h)
-        nxt = bwd[i + 1] * site
-        for dy, p in zip(dys, probs):
-            acc += p * _shift(nxt, -dy)
+        acc = _step_terms(bwd[i + 1] * site, dys, probs).sum(axis=1)
         m = acc.max()
         if m <= 0.0:
             raise InfeasibleError("endpoints infeasible under the step support")
@@ -194,23 +165,11 @@ def _forward_backward(spec, cap=None):
     return fwd, bwd, heights, site
 
 
-def transfer_matrix_exact(spec: TiltedBridgeSpec, enforce_caps=True):
+def transfer_matrix_exact(spec: TiltedBridgeSpec):
     """Exact column marginals of the tilted bridge by forward-backward
-    accumulation over height states; each column normalized to 1 within
-    1e-12.
-
-    The oracle contract caps width at 20 and the height window at 40 states
-    (a taller window is cut to 40 above the floor); pass enforce_caps=False
-    for larger instances (same dense recursion, whole window).
-    """
-    cap = None
-    if enforce_caps:
-        if spec.width > ORACLE_MAX_WIDTH:
-            raise ResourceLimitError(f"width {spec.width} > {ORACLE_MAX_WIDTH}")
-        lo, hi = _height_window(spec)
-        if hi - lo + 1 > ORACLE_MAX_CAP:
-            cap = ORACLE_MAX_CAP
-    fwd, bwd, heights, _ = _forward_backward(spec, cap=cap)
+    accumulation over its whole height window; each column normalized to 1
+    within 1e-12."""
+    fwd, bwd, heights, _ = _forward_backward(spec)
     marg = fwd * bwd
     sums = marg.sum(axis=1, keepdims=True)
     if np.any(sums <= 0):
@@ -237,7 +196,7 @@ def sample_tilted_bridge(spec: TiltedBridgeSpec, count, seed, method="transfer",
 def enumerate_bridge(spec: TiltedBridgeSpec):
     """All feasible paths with their (unnormalized) weights; the brute-force
     oracle behind the oracle."""
-    dys, probs = _unit_law(spec)
+    dys, probs = spec.law.dys.tolist(), spec.law.probs
     W = spec.width
     if len(dys) ** W > 2_000_000:
         raise ResourceLimitError("path space too large to enumerate")
@@ -268,29 +227,23 @@ def enumerate_bridge(spec: TiltedBridgeSpec):
 
 
 def _sample_transfer(spec, count, seed):
-    dys, probs = _unit_law(spec)
+    dys, probs = spec.law.dys, spec.law.probs
     fwd, bwd, heights, site = _forward_backward(spec)
-    n_h = len(heights)
     W = spec.width
     rng = np.random.default_rng(seed)
-    n_steps = len(dys)
-    # conditional cdf per column: C[i][y, j] ~ P(step j | y at column i)
+    # conditional cdf per column: cdf[y, j] ~ P(step j | y at column i)
     out = np.empty((count, W + 1), dtype=np.int64)
     y = np.full(count, spec.u[1] - heights[0], dtype=np.int64)
     out[:, 0] = y
     for i in range(W):
-        nxt = bwd[i + 1] * site
-        w = np.zeros((n_h, n_steps))
-        for j, (dy, p) in enumerate(zip(dys, probs)):
-            w[:, j] = p * _shift(nxt, -dy)
-        cdf = np.cumsum(w, axis=1)
+        cdf = np.cumsum(_step_terms(bwd[i + 1] * site, dys, probs), axis=1)
         tot = cdf[:, -1].copy()
         tot[tot == 0] = 1.0
         cdf /= tot[:, None]
         u = rng.random(count)
         rows = cdf[y]
         j = (u[:, None] > rows).sum(axis=1)
-        y = y + np.asarray(dys)[j]
+        y = y + dys[j]
         out[:, i + 1] = y
     return out + heights[0]
 
@@ -299,8 +252,8 @@ def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     """Single-column +-1 Metropolis on the height path (for unit-step laws a
     corner flip is such a move). Irreducible: any path can reach the minimal
     one by monotone moves."""
-    dys, probs = _unit_law(spec)
-    pstep = dict(zip(dys, probs.tolist()))
+    dys = spec.law.dys.tolist()
+    pstep = dict(zip(dys, spec.law.probs.tolist()))
     W = spec.width
     if W < 2:
         raise StructureError("bridge too narrow for MCMC moves")

@@ -108,13 +108,12 @@ class ScaleTable:
     threshold: float
 
 
-def compute_scales(hist, L, m=1, beta=None, threshold_coefficient=5.0) -> ScaleTable:
-    """H = max{h : P(h) >= c*beta/L}, N_n = 1/P(H-n), L_h = ceil(c*beta/P(h)),
+def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
+    """H = max{h : P(h) >= 5 beta/L}, N_n = 1/P(H-n), L_h = ceil(5 beta/P(h)),
     and the exceptional set union of [ceil(3 L_h / 4), L_h].
 
     hist may be a HeightHistogram (beta read from it) or a plain {h: prob}
-    dict with beta passed explicitly. threshold_coefficient defaults to the
-    standard 5 and is exposed only as an override.
+    dict with beta passed explicitly.
     """
     if isinstance(hist, HeightHistogram):
         probs = hist.probs
@@ -123,7 +122,7 @@ def compute_scales(hist, L, m=1, beta=None, threshold_coefficient=5.0) -> ScaleT
         probs = {int(h): float(p) for h, p in hist.items()}
         if beta is None:
             raise StructureError("beta required with a plain probability dict")
-    thr = threshold_coefficient * beta / L
+    thr = 5.0 * beta / L
     eligible = [h for h, p in probs.items() if p >= thr]
     if not eligible:
         raise InfeasibleError(f"no height reaches the threshold {thr:.3g}")
@@ -139,7 +138,7 @@ def compute_scales(hist, L, m=1, beta=None, threshold_coefficient=5.0) -> ScaleT
         if ph <= 0:
             raise InfeasibleError(f"no estimate for height {H - n} (needed for N_{n})")
         N.append(1.0 / ph)
-    L_h = {h: int(math.ceil(threshold_coefficient * beta / probs[h]))
+    L_h = {h: int(math.ceil(5.0 * beta / probs[h]))
            for h in sorted(probs) if h >= 1 and probs[h] > 0}
     raw = [(int(math.ceil(0.75 * Lh)), Lh) for Lh in sorted(L_h.values())]
     bad = _merge_intervals(raw)

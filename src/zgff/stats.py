@@ -1,25 +1,12 @@
-"""Small statistics bundle: empirical CDFs, correlation, block bootstrap,
-autocorrelation. Bootstrap resampling is done at the snapshot level in blocks
-so chain autocorrelation is respected."""
+"""Small statistics bundle: correlation with a paired block-bootstrap CI,
+autocorrelation and batch means. Bootstrap resampling is done at the
+snapshot level in blocks so chain autocorrelation is respected."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateInputError
-
-
-def empirical_cdf(samples):
-    """Return (sorted values, cdf heights). Evaluate with evaluate_ecdf."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise DegenerateInputError("empty sample")
-    return x, np.arange(1, x.size + 1) / x.size
-
-
-def evaluate_ecdf(sorted_x, x):
-    sorted_x = np.asarray(sorted_x)
-    return np.searchsorted(sorted_x, np.asarray(x), side="right") / sorted_x.size
 
 
 def correlation(a, b):
@@ -60,36 +47,6 @@ def integrated_autocorr_time(trace, max_lag=None):
 def effective_sample_size(trace):
     tau = integrated_autocorr_time(trace)
     return len(trace) / (2.0 * tau)
-
-
-def block_bootstrap_ci(samples, stat=np.mean, n_boot=1000, level=0.95,
-                       block=None, seed=0):
-    """Percentile bootstrap CI with moving-block resampling.
-
-    block defaults to 5x the integrated autocorrelation time of the sequence,
-    per the harness convention; pass block=1 for independent data.
-    """
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    if n < 4:
-        raise DegenerateInputError("too few samples to bootstrap")
-    if block is None:
-        try:
-            block = max(1, int(round(5.0 * integrated_autocorr_time(x))))
-        except DegenerateInputError:
-            block = 1
-    block = min(block, n)
-    rng = np.random.default_rng(seed)
-    n_blocks = int(np.ceil(n / block))
-    stats = np.empty(n_boot)
-    starts_max = n - block + 1
-    for b in range(n_boot):
-        starts = rng.integers(0, starts_max, size=n_blocks)
-        idx = (starts[:, None] + np.arange(block)[None, :]).reshape(-1)[:n]
-        stats[b] = stat(x[idx])
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
-    return float(stat(x)), (float(lo), float(hi))
 
 
 def paired_bootstrap_corr_ci(a, b, n_boot=1000, level=0.95, block=1, seed=0):

@@ -193,7 +193,7 @@ def test_criterion_6_effective_model_limit():
     N = 3000
     spec = fs_bridge_spec(N, law)
     W = spec.width
-    heights, marg = transfer_matrix_exact(spec, enforce_caps=False)
+    heights, marg = transfer_matrix_exact(spec)
     mid = marg[W // 2]
     scale = N ** (1.0 / 3.0)
     cdf_lattice = np.cumsum(mid)

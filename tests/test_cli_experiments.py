@@ -301,10 +301,11 @@ def test_scales_pipeline_records_bulk_window(tmp_path):
     cfg.set("out", "dir", str(tmp_path))
     run_pipeline(cfg)
     rec = json.loads((tmp_path / "scales.json").read_text())
-    # L = 64 gives the 48-box proxy and its 32 x 32 bulk window
-    assert (rec["box_size"], rec["bulk_margin"], rec["n_samples"]) == (48, 8, 200)
-    assert sum(rec["hits"].values()) == 200 * 32 * 32
+    # L = 64 gives the 48-box proxy and its 32 x 32 bulk window; the table
+    # takes max(2000, sweeps) samples, as endtoend's does
+    assert (rec["box_size"], rec["bulk_margin"], rec["n_samples"]) == (48, 8, 2000)
+    assert sum(rec["hits"].values()) == 2000 * 32 * 32
     rows = (tmp_path / "scale_table.csv").read_text().splitlines()[2:]
     for row in rows:
         h, prob = row.split(",")[:2]
-        assert float(prob) == rec["hits"][h] / (200 * 32 * 32)
+        assert float(prob) == rec["hits"][h] / (2000 * 32 * 32)

@@ -78,10 +78,15 @@ def test_two_pyramids_non_unique():
     cfg = SurfaceConfig.flat(12)
     cfg.heights[2, 2] = 1
     cfg.heights[9, 9] = 1
-    rep = nesting_report(cfg, h_max=1)
-    lvl1 = next(e for e in rep["levels"] if e["level"] == 1)
-    assert lvl1["n_loops"] == 2
-    assert not lvl1.get("unique_top", True)
+    # a macroscopic loop off the centre column, which the old largest-loop
+    # rule took as the top loop
+    offside = SurfaceConfig.flat(32)
+    offside.heights[2:12, 4:28] = 1
+    for c, counts in ((cfg, (2, 0)), (offside, (1, 1))):
+        lvl1 = nesting_report(c, h_max=1)["levels"][1]
+        assert (lvl1["n_loops"], lvl1["n_macroscopic"]) == counts
+        # no loop crosses the centre column, so the level has no top loop
+        assert "top_area" not in lvl1
 
 
 def test_macroscopic_threshold_natural_log():

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zgff.errors import (DegenerateInputError, InfeasibleError,
-                         ResourceLimitError, StructureError)
+from zgff.errors import DegenerateInputError, InfeasibleError, StructureError
 from zgff.fs import FSModel, fs_quantile
 from zgff.rw import (IncrementLaw, TiltedBridgeSpec, basic_increment_law,
                      enumerate_bridge, fs_comparison, laplace_increment_law,
@@ -17,7 +16,7 @@ from zgff.tension import log_partition_directed
 def test_basic_law_examples():
     law = basic_increment_law(0.25)
     assert law.y_variance == pytest.approx(0.5)
-    assert law.mean == (1.0, 0.0)
+    assert law.probs @ law.dys == 0.0
     with pytest.raises(StructureError):
         basic_increment_law(0.0)      # documented degenerate boundary case
     with pytest.raises(StructureError):
@@ -26,11 +25,13 @@ def test_basic_law_examples():
 
 def test_increment_law_validation():
     with pytest.raises(StructureError):
-        IncrementLaw(steps=[(1, 0), (1, 1)], probs=[0.6, 0.5])
+        IncrementLaw(dys=[0, 1], probs=[0.6, 0.5])
     with pytest.raises(StructureError):
-        IncrementLaw(steps=[(0, 1)], probs=[1.0])
+        IncrementLaw(dys=[0, 1], probs=[1.0])
     with pytest.raises(StructureError):
-        IncrementLaw(steps=[(1, 0), (2, 1)], probs=[0.5, 0.5])
+        IncrementLaw(dys=[(1, 0), (1, 1)], probs=[0.5, 0.5])
+    with pytest.raises(StructureError):
+        IncrementLaw(dys=[0.0, 1.0], probs=[0.5, 0.5])
 
 
 def test_laplace_law_variance_and_tail():
@@ -38,9 +39,9 @@ def test_laplace_law_variance_and_tail():
         law = laplace_increment_law(beta)
         t = math.exp(-beta)
         assert abs(law.y_variance - 2 * t / (1 - t) ** 2) < 1e-12
-        assert abs(law.mean[1]) < 1e-15
-        R = max(dy for _, dy in law.steps)
-        assert [dy for _, dy in law.steps] == list(range(-R, R + 1))
+        assert abs(law.probs @ law.dys) < 1e-15
+        R = law.dys.max()
+        assert law.dys.tolist() == list(range(-R, R + 1))
         assert t ** (R + 1) < TRUNCATION_EPS    # the first omitted weight
     with pytest.raises(StructureError):
         laplace_increment_law(0.0)
@@ -51,7 +52,7 @@ def test_laplace_bridge_partition_matches_log_partition_directed():
     # vertical runs, each normalized by coth(beta/2)
     for beta in (1.3, 2.0):
         law = laplace_increment_law(beta)
-        R = max(dy for _, dy in law.steps)
+        R = int(law.dys.max())
         for M, Y in ((1, 0), (2, 1), (2, 3)):
             spec = TiltedBridgeSpec(u=(0, 0), v=(M + 1, Y), floor=-R * (M + 1),
                                     tilt_N=math.inf, law=law)
@@ -62,7 +63,7 @@ def test_laplace_bridge_partition_matches_log_partition_directed():
 
 
 def test_two_path_bridge_closed_form():
-    flat = IncrementLaw(steps=[(1, 0), (1, 1), (1, -1)], probs=[1 / 3] * 3)
+    flat = IncrementLaw(dys=[0, 1, -1], probs=[1 / 3] * 3)
     spec = TiltedBridgeSpec(u=(0, 0), v=(2, 0), floor=0, tilt_N=1.0, law=flat)
     paths, w = enumerate_bridge(spec)
     probs = w / w.sum()
@@ -147,18 +148,6 @@ def test_tilt_to_infinity_matches_untilted_enumeration():
     assert 0.5 * np.abs(mid - m[3]).sum() < 1e-12   # TV, exact on both sides
 
 
-def test_oracle_caps_enforced():
-    law = basic_increment_law(0.25)
-    wide = TiltedBridgeSpec(u=(0, 1), v=(30, 1), floor=0, tilt_N=5.0, law=law,
-                            ceiling=10)
-    with pytest.raises(ResourceLimitError):
-        transfer_matrix_exact(wide)
-    heights, _ = transfer_matrix_exact(
-        TiltedBridgeSpec(u=(0, 1), v=(10, 1), floor=0, tilt_N=5.0, law=law,
-                         ceiling=60))
-    assert len(heights) <= 41
-
-
 def test_transfer_sampler_matches_exact_marginals():
     law = basic_increment_law(0.25)
     spec = TiltedBridgeSpec(u=(0, 1), v=(12, 1), floor=0, tilt_N=4.0, law=law,
@@ -218,7 +207,7 @@ def test_mcmc_sampler_stream_is_pinned():
 
 
 def test_mcmc_infeasible_initial_path():
-    law = IncrementLaw(steps=[(1, 1), (1, -1)], probs=[0.5, 0.5])
+    law = IncrementLaw(dys=[1, -1], probs=[0.5, 0.5])
     spec = TiltedBridgeSpec(u=(0, 0), v=(4, 1), floor=0, tilt_N=math.inf,
                             law=law)
     with pytest.raises(InfeasibleError):

@@ -55,11 +55,12 @@ def test_scale_consistency_invariance(seed):
     rng = np.random.default_rng(seed)
     base = {h: float(10.0 ** -(h + rng.random())) for h in range(1, 5)}
     base[6] = 1e-12   # keeps the truncation check off for every sampled L
-    # L >= 1200 keeps the threshold below P(1) >= 0.01 for both coefficients
+    # L >= 1200 keeps the threshold 5 beta / L below P(1) >= 0.01 at both
+    # betas; doubling beta doubles it as doubling every P(h) does
     L = int(rng.integers(1200, 5000))
     t1 = compute_scales(base, L=L, beta=1.0)
     doubled = {h: 2 * p for h, p in base.items()}
-    t2 = compute_scales(doubled, L=L, beta=1.0, threshold_coefficient=10.0)
+    t2 = compute_scales(doubled, L=L, beta=2.0)
     assert t1.H == t2.H
 
 
