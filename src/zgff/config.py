@@ -25,7 +25,6 @@ _DEFAULTS = {
     "pipeline": {"name": "surface"},
     "rw": {"q": 0.25, "tilt_n": 3000.0, "law": "basic", "samples": 4000},
     "fs": {"sigma": 1.0, "dt": 1e-3, "steps": 200000, "paths": 50, "x0": 1.0},
-    "tension": {"beta": 2.5, "n": 0},
     "out": {"dir": "out"},
 }
 

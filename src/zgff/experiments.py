@@ -125,8 +125,8 @@ def run_scales(cfg, out_dir):
               "threshold": table.threshold,
               "ld_diagnostics": _jsonable(ld_diagnostics(hist)),
               "warnings": hist.warnings, "seed": seed,
-              "box_size": hist.box_size, "bulk_margin": hist.margin,
-              "n_samples": hist.n_samples,
+              "sample_seed": hist.seed, "box_size": hist.box_size,
+              "bulk_margin": hist.margin, "n_samples": hist.n_samples,
               "hits": {str(h): n for h, n in sorted(hist.hits.items())}}
     _json_dump(os.path.join(out_dir, "scales.json"), record)
     summary = {"H": table.H, "L_in_bad_set": table.L_in_bad_set}
@@ -187,15 +187,14 @@ def run_rw_oracle(cfg, out_dir):
 
 
 def run_tension(cfg, out_dir):
-    beta = cfg.get("tension", "beta")
-    n = cfg.get("tension", "n")
-    table = tension_table(beta, n=n, p=cfg.get("model", "p"))
+    beta = cfg.get("model", "beta")
+    table = tension_table(beta)
     lines = [f"# config_hash={cfg.hash()}", "theta,tau,ci,N_used"]
     for e in table.entries:
         lines.append(f"{e.theta!r},{e.tau!r},{e.ci!r},{max(e.sizes) * e.direction[0]}")
     _write_lines(os.path.join(out_dir, "tension.csv"), lines)
     poly = wulff_from_table(table)
-    record = {"config_hash": cfg.hash(), "beta": beta, "n": n,
+    record = {"config_hash": cfg.hash(), "beta": beta,
               "vertices": [[round(x, 10), round(y, 10)] for x, y in unit_wulff(poly)],
               "note": "closed vertex list, ccw, unit area"}
     _json_dump(os.path.join(out_dir, "wulff.json"), record)

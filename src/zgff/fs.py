@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import airy, omega1, airy_prime_first_zero
+from .airy import AIP_FIRST_ZERO, OMEGA1, airy
 from .errors import DegenerateInputError, StructureError
 
 CDF_GRID_POINTS = 10_000
@@ -36,8 +36,7 @@ class FSModel:
     def __post_init__(self):
         if self.sigma <= 0:
             raise StructureError("sigma must be positive")
-        w1 = omega1()
-        self.omega1 = w1
+        self.omega1 = w1 = OMEGA1
         self.ai_prime_at_minus_omega1 = airy(-w1)[1]
         c = self.scale
         # Ai(u)^2 ~ exp(-(4/3) u^(3/2)): u = 14 leaves ~1e-31 of mass outside
@@ -71,7 +70,7 @@ class FSModel:
     def argmax(self):
         """Density peak: (sigma^2/2)^(1/3) (omega1 - a*), a* the first zero
         of Ai' on the negative axis."""
-        return (self.omega1 - airy_prime_first_zero()) / self.scale
+        return (self.omega1 - AIP_FIRST_ZERO) / self.scale
 
 
 def fs_density(x, model: FSModel):

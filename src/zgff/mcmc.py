@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (BuildError, InvalidConstraintError, OrderingError,
                      StructureError)
-from .surface import ModelParams, SurfaceConfig, bound_grid, conditional_tables
+from .surface import (ModelParams, SurfaceConfig, bound_grid, build_boundary,
+                      conditional_tables)
 
 SCAN_ORDERS = ("raster", "checkerboard")
 
@@ -439,28 +440,26 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
 
 
 def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
-                       initial=None, boundary=None, scan_order="raster",
-                       chain_id=0):
+                       initial=None, scan_order="raster"):
     """Run a chain and emit (sweeps - burn_in) // thinning snapshots.
 
     Snapshots are taken at sweep counts burn_in + k*thinning, k = 1, 2, ...
-    Returns (snapshots, diagnostics) where diagnostics carries the mean-height
-    trace and an autocorrelation estimate of it.
+    Without an initial configuration the chain starts flat at the integer
+    floor (at 0 otherwise) inside the params' boundary ring. Returns
+    (snapshots, diagnostics) where diagnostics carries the mean-height trace
+    and an autocorrelation estimate of it.
     """
     if not (sweeps > burn_in >= 0 and thinning >= 1):
         raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
-    if boundary is None:
-        from .surface import build_boundary
-        boundary = build_boundary(params.boundary_spec, L)
     if initial is None:
         base = 0
         if params.floor_spec is not None and not isinstance(params.floor_spec, np.ndarray):
             base = int(params.floor_spec)
-        initial = SurfaceConfig.flat(L, value=base, boundary=boundary,
+        initial = SurfaceConfig.flat(L, value=base,
+                                     boundary=build_boundary(params.boundary_spec, L),
                                      floor=params.floor_spec,
                                      ceiling=params.ceiling_spec)
-    state = ChainState(config=initial.copy(), seed=seed, scan_order=scan_order,
-                       chain_id=chain_id)
+    state = ChainState(config=initial.copy(), seed=seed, scan_order=scan_order)
     snaps = []
     mean_trace = np.empty(sweeps)
     template = state.config

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InfeasibleError, StructureError
-from .stats import batch_means_ci, integrated_autocorr_time
+from .errors import InfeasibleError, StructureError
+from .stats import batch_means_ci
 from .surface import ModelParams, SurfaceConfig, build_boundary
 from .mcmc import ChainState, run_chain
 
@@ -32,13 +32,10 @@ class HeightHistogram:
     warnings: list = field(default_factory=list)
     margin: int = 0              # bulk window is [margin, box_size-1-margin]^2
     hits: dict = field(default_factory=dict)   # h -> window-site hit count
+    seed: int = None             # seed of the chain the histogram was drawn from
 
     def prob(self, h):
         return self.probs.get(int(h), 0.0)
-
-    def tail_below(self, h):
-        """P(phi_o < h) from the recorded histogram."""
-        return sum(p for k, p in self.probs.items() if k < h)
 
 
 def proxy_box_side(L):
@@ -94,7 +91,7 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
             warnings.append(f"height {v}: only {hits[v]} hits, CI unreliable")
     return HeightHistogram(p=params.p, beta=params.beta, box_size=box_size,
                            probs=probs, n_samples=k, ci_half=ci,
-                           warnings=warnings, margin=d, hits=hits)
+                           warnings=warnings, margin=d, hits=hits, seed=seed)
 
 
 @dataclass
@@ -233,52 +230,3 @@ def ld_diagnostics(hist, p=None):
     return {"status": "ok", "ratios": ratios, "ratios_strictly_decreasing": monotone,
             "fit": fit, "n_heights": len(hs)}
 
-
-def floor_probability_check(params: ModelParams, f_side, h, samples, seed,
-                            hist: HeightHistogram = None, box_size=None):
-    """Compare P(phi >= -h on an f_side^2 region F) under the no-floor
-    zero-boundary measure against exp(-P(phi_o < -h) |F|).
-
-    Returns a dict with lhs, rhs, ratio and a CI for lhs; status 'too-rare'
-    when the event never varies enough to estimate. samples < 1 raises
-    StructureError.
-    """
-    if samples < 1:
-        raise StructureError(f"samples must be >= 1, got {samples}")
-    if f_side * f_side > 400:
-        raise StructureError("|F| above the stated desk-scale limit of 400")
-    if f_side == 0:
-        return {"lhs": 1.0, "rhs": 1.0, "ratio": 1.0, "status": "ok", "ci": (1.0, 1.0)}
-    if box_size is None:
-        box_size = max(f_side + 8, 24)
-    if hist is None:
-        hist = estimate_height_prob(params, box_size, max(2000, samples), seed + 1)
-    tail = hist.tail_below(-h)
-    rhs = math.exp(-tail * f_side * f_side)
-
-    boundary = build_boundary(("all", 0), box_size)
-    cfg = SurfaceConfig.flat(box_size, boundary=boundary)
-    state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
-    run_chain(state, ModelParams(p=params.p, beta=params.beta), max(50, box_size))
-    lo = (box_size - f_side) // 2
-    hits = np.zeros(samples, dtype=bool)
-    thinning = 2
-    k = 0
-
-    def on_sweep(t, heights):
-        nonlocal k
-        if t % thinning != 0 or k >= samples:
-            return
-        hits[k] = bool((heights[lo:lo + f_side, lo:lo + f_side] >= -h).all())
-        k += 1
-
-    run_chain(state, ModelParams(p=params.p, beta=params.beta),
-              samples * thinning, on_sweep=on_sweep)
-    lhs = float(hits[:k].mean())
-    if lhs == 0.0:
-        return {"lhs": 0.0, "rhs": rhs, "ratio": 0.0, "status": "too-rare",
-                "ci": (0.0, 0.0)}
-    se = math.sqrt(max(lhs * (1 - lhs), 1.0 / k) / k)
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "status": "ok",
-            "ci": (max(0.0, lhs - 1.96 * se), min(1.0, lhs + 1.96 * se)),
-            "tail": tail, "n": int(k)}

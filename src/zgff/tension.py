@@ -7,7 +7,7 @@ the truncated ensemble: simple x-monotone paths with unit gradients and all
 cluster decorations zero (higher gradients and backtracking blobs cost at
 least e^(-2 beta) each and sit below the resolution of every consumer).
 Under this truncation the estimate does not depend on the level index n or
-the gradient exponent p; both are still recorded in the output table.
+the gradient exponent p, so neither is an input.
 
 A path from (0,0) to (M, Y) is M horizontal bonds plus one free vertical run
 per column 0..M, so exp(beta M) Z(M, Y) is the (M+1)-fold convolution of the
@@ -68,8 +68,6 @@ class TensionEntry:
 @dataclass
 class TensionTable:
     beta: float
-    n: int
-    p: float
     entries: list = field(default_factory=list)
 
     def tau_of_theta(self, theta):
@@ -144,8 +142,8 @@ DEFAULT_DIRECTIONS = ((1, 0), (8, 1), (6, 1), (4, 1), (3, 1), (8, 3),
                       (2, 1), (5, 3), (4, 3), (8, 7), (1, 1))
 
 
-def tension_table(beta, directions=DEFAULT_DIRECTIONS, sizes=None, n=0, p=2.0):
-    table = TensionTable(beta=beta, n=n, p=p)
+def tension_table(beta, directions=DEFAULT_DIRECTIONS, sizes=None):
+    table = TensionTable(beta=beta)
     for d in directions:
         table.entries.append(estimate_tension(beta, d, sizes=sizes))
     return table

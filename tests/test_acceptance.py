@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, special
 
 from oracles import disagreement_duals_reference, gibbs_2x2_exact
-from zgff.airy import AI0, airy, omega1
+from zgff.airy import AI0, OMEGA1, airy
 from zgff.fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths, \
     zero_flux_residual
 from zgff.levellines import enclosed_region, extract_level_lines
@@ -121,7 +121,7 @@ def test_criterion_4_airy_fs_numerics():
     assert abs(AI0 - 3 ** (-2 / 3) / math.gamma(2 / 3)) < 1e-15
     assert abs(airy(0.0)[0] - 3 ** (-2 / 3) / math.gamma(2 / 3)) < 1e-10
     w1_ref = -float(special.ai_zeros(1)[0][0])
-    assert abs(omega1() - w1_ref) < 1e-8
+    assert abs(OMEGA1 - w1_ref) < 1e-8
     model = FSModel(sigma=1.0)
     integral, _ = integrate.quad(lambda x: fs_density(x, model), 0,
                                  model.x_max, limit=200)

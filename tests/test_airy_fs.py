@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from zgff.airy import (AI0, BLOCK, _airy_asymptotic_pos, airy,
-                       airy_prime_first_zero, airy_series, omega1)
+from zgff.airy import (AI0, AIP_FIRST_ZERO, BLOCK, OMEGA1,
+                       _airy_asymptotic_pos, airy, airy_series)
 from zgff.errors import DegenerateInputError, StructureError
 from zgff.fs import (FSModel, fs_cdf, fs_density, fs_drift, fs_quantile,
                      ks_distance, sample_paths, zero_flux_residual)
@@ -23,9 +23,10 @@ def _branch_edges(edges):
 
 
 def test_airy_against_scipy_abs_inside():
-    # series, Taylor and positive asymptotics, and the edges 0 and +-6
-    xs = np.concatenate([np.linspace(-10, 10, 801),
-                         _branch_edges([0.0, 6.0, -6.0])])
+    # series and positive asymptotics, the edges 0 and 6, and the domain's
+    # first point -6
+    xs = np.concatenate([np.linspace(-6, 10, 641), _branch_edges([0.0, 6.0]),
+                         [-6.0, np.nextafter(-6.0, np.inf)]])
     ai, aip = airy(xs)
     Ai, Aip, _, _ = special.airy(xs)
     assert np.all(np.abs(ai - Ai) <= 1e-10)
@@ -33,9 +34,8 @@ def test_airy_against_scipy_abs_inside():
 
 
 def test_airy_against_scipy_rel_outside():
-    # negative asymptotics, Taylor on (-12, -10), positive asymptotics, -12
-    xs = np.concatenate([np.linspace(-25, -10.01, 120),
-                         np.linspace(10.01, 25, 120), _branch_edges([-12.0])])
+    # positive asymptotics
+    xs = np.linspace(10.01, 25, 120)
     ai, aip = airy(xs)
     Ai, Aip, _, _ = special.airy(xs)
     assert np.all(np.abs(ai - Ai) <= 1e-8 * np.abs(Ai))
@@ -43,8 +43,8 @@ def test_airy_against_scipy_rel_outside():
 
 
 def test_airy_keeps_the_shape_of_its_input():
-    pts = np.array([[-20.0, -8.0, -2.0], [0.0, 5.5, 9.0]])
-    for x in (1.5, np.float64(-7.0), np.asarray(3.0), pts[0], pts):
+    pts = np.array([[-6.0, -4.0, -2.0], [0.0, 5.5, 9.0]])
+    for x in (1.5, np.float64(-5.0), np.asarray(3.0), pts[0], pts):
         ai, aip = airy(x)
         assert np.shape(ai) == np.shape(aip) == np.shape(x)
     ai, aip = airy(pts)
@@ -52,7 +52,7 @@ def test_airy_keeps_the_shape_of_its_input():
         assert (ai[idx], aip[idx]) == airy(float(pts[idx]))
     # airy works through blocks of BLOCK points; the reversed view
     # puts every point in a different block at a different offset
-    big = np.linspace(-20.0, 20.0, 2 * BLOCK + 3)
+    big = np.linspace(-6.0, 20.0, 2 * BLOCK + 3)
     ai, aip = airy(big)
     ai_r, aip_r = airy(big[::-1])
     assert np.array_equal(ai, ai_r[::-1]) and np.array_equal(aip, aip_r[::-1])
@@ -65,11 +65,28 @@ def test_airy_monotone_decay_positive_axis():
 
 def test_omega1_and_aiprime_zero():
     # independent oracle: scipy's tabulated zeros
-    assert omega1() == pytest.approx(float(special.ai_zeros(1)[0][0]) * -1.0,
-                                     abs=1e-8)
-    assert airy(-omega1())[0] == pytest.approx(0.0, abs=1e-10)
-    assert airy_prime_first_zero() == pytest.approx(
+    assert OMEGA1 == pytest.approx(float(special.ai_zeros(1)[0][0]) * -1.0,
+                                   abs=1e-8)
+    assert airy(-OMEGA1)[0] == pytest.approx(0.0, abs=1e-10)
+    assert AIP_FIRST_ZERO == pytest.approx(
         float(special.ai_zeros(1)[1][0]) * -1.0, abs=1e-8)
+
+
+def test_zero_constants_sit_at_the_series_sign_changes():
+    # each constant is within 2e-14 of where the series itself changes sign
+    for zero, part in ((OMEGA1, 0), (AIP_FIRST_ZERO, 1)):
+        inner = airy_series(-(zero - 2e-14))[part]
+        outer = airy_series(-(zero + 2e-14))[part]
+        assert inner * outer < 0, (zero, inner, outer)
+
+
+def test_airy_domain_starts_at_minus_six():
+    ai, aip = airy(-6.0)
+    assert (ai, aip) == airy_series(-6.0)
+    for bad in (np.nextafter(-6.0, -np.inf), -12.0, np.array([0.0, -7.0]),
+                np.nan):
+        with pytest.raises(DegenerateInputError):
+            airy(bad)
 
 
 def test_series_asymptotic_cross_check_band():
@@ -105,7 +122,7 @@ def test_density_argmax_formula():
     dens = fs_density(xs, m)
     x_star = xs[np.argmax(dens)]
     assert m.argmax() == pytest.approx(
-        (2.0 / 1.3 ** 2) ** (-1.0 / 3.0) * (omega1() - airy_prime_first_zero()),
+        (2.0 / 1.3 ** 2) ** (-1.0 / 3.0) * (OMEGA1 - AIP_FIRST_ZERO),
         rel=1e-12)
     assert x_star == pytest.approx(m.argmax(), abs=2 * (xs[1] - xs[0]))
 

@@ -9,8 +9,9 @@ from zgff.errors import InfeasibleError
 from zgff.experiments import (height_fluctuation_exponent, run_end_to_end,
                               run_pipeline)
 from zgff.mcmc import sample_equilibrium
-from zgff.scales import ScaleTable
+from zgff.scales import ScaleTable, estimate_height_prob
 from zgff.surface import SurfaceConfig, read_snapshot
+from zgff.tension import tension_table
 
 
 def _plateau_snapshots(L, n, lo=2, hi=None):
@@ -309,3 +310,35 @@ def test_scales_pipeline_records_bulk_window(tmp_path):
     for row in rows:
         h, prob = row.split(",")[:2]
         assert float(prob) == rec["hits"][h] / (2000 * 32 * 32)
+
+
+def test_scales_record_reproduces_its_hits(tmp_path):
+    cfg = ExperimentConfig.default()
+    cfg.set("pipeline", "name", "scales")
+    cfg.set("run", "sweeps", 200)
+    cfg.set("run", "burnin", 50)
+    cfg.set("run", "seed", 5)
+    cfg.set("out", "dir", str(tmp_path))
+    run_pipeline(cfg)
+    rec = json.loads((tmp_path / "scales.json").read_text())
+    assert (rec["seed"], rec["sample_seed"]) == (5, 5 + 101)
+    hist = estimate_height_prob(model_params_from(cfg), rec["box_size"],
+                                rec["n_samples"], rec["sample_seed"])
+    assert {str(h): n for h, n in sorted(hist.hits.items())} == rec["hits"]
+
+
+def test_cli_tension_runs_at_the_model_beta(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["tension", "--beta", "3.0", "--out", str(out)]) == 0
+    rec = json.loads((out / "wulff.json").read_text())
+    assert rec["beta"] == 3.0 and "n" not in rec
+    # the axis row is the transfer estimate at beta = 3, not at another beta
+    theta, tau = (out / "tension.csv").read_text().splitlines()[2].split(",")[:2]
+    assert float(theta) == 0.0
+    assert float(tau) == tension_table(3.0, directions=((1, 0),)).entries[0].tau
+    # at beta = 1.3 the truncated ensemble's table is not convex: exit 3, no
+    # body written at some other beta
+    low = tmp_path / "low"
+    assert main(["tension", "--beta", "1.3", "--out", str(low)]) == 3
+    assert "inactive" in capsys.readouterr().err
+    assert not (low / "wulff.json").exists()

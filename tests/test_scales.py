@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import box_center_marginal_exact
-from zgff import scales
 from zgff.errors import InfeasibleError, StructureError
-from zgff.scales import (HeightHistogram, bad_set_log_density, compute_scales,
-                         estimate_height_prob, floor_probability_check,
-                         ld_diagnostics, proxy_box_side)
+from zgff.scales import (bad_set_log_density, compute_scales,
+                         estimate_height_prob, ld_diagnostics, proxy_box_side)
 from zgff.surface import ModelParams
 
 WORKED = {1: 0.1, 2: 0.01, 3: 0.0005}
@@ -173,61 +171,3 @@ def test_ld_diagnostics_insufficient():
     assert ld_diagnostics({0: 1.0}, p=2)["status"] == "insufficient"
     assert ld_diagnostics({0: 0.9, 1: 0.1}, p=2)["status"] == "insufficient"
 
-
-def test_floor_probability_empty_region(monkeypatch):
-    rep = floor_probability_check(ModelParams(p=2, beta=2.0), 0, 1, 100, seed=0,
-                                  hist=HeightHistogram(2, 2.0, 0, {0: 1.0}, 1))
-    assert rep["lhs"] == rep["rhs"] == rep["ratio"] == 1.0
-
-    # the empty region is answered without running any chain
-    def no_chain(*args, **kwargs):
-        raise AssertionError("run_chain called for an empty region")
-
-    monkeypatch.setattr(scales, "run_chain", no_chain)
-    rep = floor_probability_check(ModelParams(p=2, beta=2.0), 0, 1, 100, seed=0)
-    assert rep["lhs"] == rep["rhs"] == rep["ratio"] == 1.0
-
-
-def test_floor_probability_large_h_trivial():
-    params = ModelParams(p=2, beta=1.2)
-    rep = floor_probability_check(params, 4, 50, 300, seed=5, box_size=16)
-    assert rep["lhs"] > 0.999
-    assert rep["rhs"] > 0.999
-    assert abs(rep["ratio"] - 1.0) < 1e-3
-
-
-def test_floor_probability_informative_band():
-    # h = 0 at beta = 1.2 keeps the event probability away from 0 and 1
-    params = ModelParams(p=2, beta=1.2)
-    rep = floor_probability_check(params, 6, 0, 4000, seed=8, box_size=16)
-    assert rep["status"] == "ok"
-    assert 0.8 <= rep["ratio"] <= 1.25
-
-
-def test_floor_probability_too_rare():
-    params = ModelParams(p=2, beta=1.2)
-    rep = floor_probability_check(params, 6, -4, 200, seed=9, box_size=16)
-    assert rep["status"] == "too-rare"
-
-
-def test_floor_probability_region_cap():
-    with pytest.raises(StructureError):
-        floor_probability_check(ModelParams(), 21, 1, 10, seed=0)
-
-
-def test_floor_probability_rejects_starved_runs(monkeypatch):
-    # checked before any histogram or chain: a supplied histogram used to
-    # reach a ZeroDivisionError (samples = 0) or a ValueError (samples = -1)
-    params = ModelParams(p=2.0, beta=0.8)
-    hist = scales.estimate_height_prob(params, 24, 20, 1)
-
-    def no_chain(*args, **kwargs):
-        raise AssertionError("a chain ran")
-
-    monkeypatch.setattr(scales, "run_chain", no_chain)
-    monkeypatch.setattr(scales, "estimate_height_prob", no_chain)
-    for samples in (0, -1):
-        with pytest.raises(StructureError):
-            floor_probability_check(params, 4, 1, samples, 3, hist=hist)
-        with pytest.raises(StructureError):
-            floor_probability_check(params, 4, 1, samples, 3)
