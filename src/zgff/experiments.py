@@ -30,7 +30,7 @@ from .scales import (compute_scales, estimate_height_prob, ld_diagnostics,
                      proxy_box_side)
 from .stats import correlation
 from .surface import ModelParams, SurfaceConfig, write_snapshot
-from .tension import tension_table, unit_wulff, wulff_from_table
+from .tension import tension_closed_form, tension_table
 
 
 def _write_lines(path, lines):
@@ -187,19 +187,21 @@ def run_rw_oracle(cfg, out_dir):
 
 
 def run_tension(cfg, out_dir):
+    """The transfer tension table at [model] beta, each row next to the
+    closed form, and the Laplace walk's sigma^2 (1 / the stiffness at 0)."""
     beta = cfg.get("model", "beta")
+    if tension_closed_form(beta, 0.0) <= 0:
+        raise InfeasibleError(
+            f"beta={beta} <= ln(1 + sqrt 2) = 0.8814: the truncated ensemble's "
+            "axis tension beta - log coth(beta/2) is not positive")
     table = tension_table(beta)
-    lines = [f"# config_hash={cfg.hash()}", "theta,tau,ci,N_used"]
+    lines = [f"# config_hash={cfg.hash()}", "theta,tau,tau_exact,ci,N_used"]
     for e in table.entries:
-        lines.append(f"{e.theta!r},{e.tau!r},{e.ci!r},{max(e.sizes) * e.direction[0]}")
+        lines.append(f"{e.theta!r},{e.tau!r},{tension_closed_form(beta, e.theta)!r},"
+                     f"{e.ci!r},{max(e.sizes) * e.direction[0]}")
     _write_lines(os.path.join(out_dir, "tension.csv"), lines)
-    poly = wulff_from_table(table)
-    record = {"config_hash": cfg.hash(), "beta": beta,
-              "vertices": [[round(x, 10), round(y, 10)] for x, y in unit_wulff(poly)],
-              "note": "closed vertex list, ccw, unit area"}
-    _json_dump(os.path.join(out_dir, "wulff.json"), record)
-    return ["tension.csv", "wulff.json"], {"tau0_over_beta":
-                                           round(table.entries[0].tau / beta, 6)}
+    return ["tension.csv"], {"tau0_over_beta": round(table.entries[0].tau / beta, 6),
+                             "sigma2": laplace_increment_law(beta).y_variance}
 
 
 def run_levellines(cfg, out_dir, snapshots=None):
@@ -236,8 +238,10 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     seed = cfg.get("run", "seed")
     m = cfg.get("run", "levels")
     sigma = math.sqrt(_increment_law(cfg).y_variance)
+    sample_seed = None
     if scale_table is None:
-        _, scale_table = _scale_table(cfg, params)
+        hist, scale_table = _scale_table(cfg, params)
+        sample_seed = hist.seed
     if scale_table.L_in_bad_set:
         iv = next(i for i in scale_table.bad_intervals if i[0] <= L <= i[1])
         raise InfeasibleError(
@@ -305,7 +309,8 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
                 cross = None
     record = {
         "config_hash": cfg.hash(), "seed": seed, "L": L, "H": H,
-        "N": scale_table.N, "sigma_by_level": {str(n): sigma for n in range(m)},
+        "N": scale_table.N, "sample_seed": sample_seed,
+        "sigma_by_level": {str(n): sigma for n in range(m)},
         "sigma_source": cfg.get("rw", "law"),
         "ks_by_level": {str(n): ks_by_level[n] for n in ks_by_level},
         "snapshots_missing_level": {str(n): missing[n] for n in missing},

@@ -1,9 +1,9 @@
-"""Surface tension of the directed polymer ensemble and its Wulff geometry.
+"""Surface tension of the directed polymer ensemble.
 
 The tension is minus the per-unit-L1-length exponential rate of the polymer
 partition function between two points. The estimator here evaluates that
-partition function exactly by a transfer recursion over column states for
-the truncated ensemble: simple x-monotone paths with unit gradients and all
+partition function by a transfer recursion over column states for the
+truncated ensemble: simple x-monotone paths with unit gradients and all
 cluster decorations zero (higher gradients and backtracking blobs cost at
 least e^(-2 beta) each and sit below the resolution of every consumer).
 Under this truncation the estimate does not depend on the level index n or
@@ -11,7 +11,8 @@ the gradient exponent p, so neither is an input.
 
 A path from (0,0) to (M, Y) is M horizontal bonds plus one free vertical run
 per column 0..M, so exp(beta M) Z(M, Y) is the (M+1)-fold convolution of the
-discrete Laplace kernel exp(-beta |r|) evaluated at Y. The finite-size form
+discrete Laplace kernel exp(-beta |r|) evaluated at Y, and the tension is a
+Legendre transform in closed form. The finite-size form
 log Z = -tau * l1 - (1/2) log M + O(1) (the local-CLT prefactor) is used for
 extrapolation and checked as an invariant.
 """
@@ -27,9 +28,17 @@ from .errors import InfeasibleError, StructureError
 
 
 def log_partition_directed(M, Y, beta):
-    """log Z(M, Y) for the truncated ensemble, exact up to kernel tail 1e-30."""
+    """log Z(M, Y) for the truncated ensemble: M + 1 convolutions of the run
+    kernel, cut at |r| <= 70/beta (tail weight e^-70), on a window of
+    |Y| + 70/beta + 2 sites either side of the origin. Both cuts only drop
+    paths, so the value is a lower bound, not exact."""
     if M < 1:
         raise StructureError("need at least one column step")
+    # Not rw.laplace_increment_law's kernel, cut at 1e-15 of the untilted
+    # walk: off-axis endpoints tilt every run by z up to 1/t and lift that
+    # tail. With it, estimate_tension at beta = 6 missed the closed form by
+    # 1.3e-2 in direction (1, 1) against a CI of 1.1e-4, and log Z(96, 84)
+    # at beta = 8 was off by 2.5.
     w = int(math.ceil(70.0 / beta)) + 1
     R = abs(Y) + w + 2
     kernel = np.exp(-beta * np.abs(np.arange(-w, w + 1, dtype=float)))
@@ -47,12 +56,20 @@ def log_partition_directed(M, Y, beta):
     return -beta * M + log_scale + math.log(val)
 
 
-def tension_l1_axis(beta):
-    """Closed-form tau_l1(0) of the truncated ensemble:
-    beta - log coth(beta/2), from the saddle point of the run generating
-    function; the reference the transfer estimate is checked against."""
+def tension_closed_form(beta, theta):
+    """Exact tau(theta) of the truncated ensemble, per unit Euclidean length:
+    cos theta times beta - log coth(beta/2) plus the Legendre transform, at
+    slope s = tan theta, of the run law's log-mgf
+    log((1-t)^2 / ((1 - t z)(1 - t/z))), t = e^-beta, z = e^l. The optimal z
+    is the positive root of t(1+s) z^2 - s(1+t^2) z - t(1-s) = 0."""
+    th = _fold_angle(theta)
     t = math.exp(-beta)
-    return beta - math.log((1.0 + t) / (1.0 - t))
+    s = math.tan(th)
+    a, b = t * (1.0 + s), s * (1.0 + t * t)
+    z = (b + math.sqrt(b * b + 4.0 * a * t * (1.0 - s))) / (2.0 * a)
+    mgf = (1.0 - t) ** 2 / ((1.0 - t * z) * (1.0 - t / z))
+    return math.cos(th) * (beta - math.log((1.0 + t) / (1.0 - t))
+                           + s * math.log(z) - math.log(mgf))
 
 
 @dataclass
@@ -150,89 +167,15 @@ def tension_table(beta, directions=DEFAULT_DIRECTIONS, sizes=None):
 
 
 def finite_size_drift(beta, direction=(1, 0), sizes=range(4, 65, 4)):
-    """The sequence log Z + tau*l1 + 0.5 log M over the enumerated range;
-    its spread being O(1)-bounded is the finite-size invariant."""
-    ent = estimate_tension(beta, direction)
-    seq = []
+    """The sequence log Z + tau*l1 + 0.5 log M over the enumerated range,
+    with tau_l1 from the closed form; its spread being O(1)-bounded is the
+    finite-size invariant."""
     q, r = direction
+    theta = math.atan2(r, q)
+    tau_l1 = tension_closed_form(beta, theta) / (math.cos(theta) + math.sin(theta))
+    seq = []
     for k in sizes:
         M, Y = q * k, r * k
         seq.append(log_partition_directed(M, Y, beta)
-                   + ent.tau_l1 * (M + abs(Y)) + 0.5 * math.log(M))
+                   + tau_l1 * (M + abs(Y)) + 0.5 * math.log(M))
     return np.asarray(seq)
-
-
-# ---------------------------------------------------------------------------
-# Wulff geometry
-
-
-def wulff_shape(angles, taus):
-    """Convex body from halfplanes {h : h . n(theta) <= tau(theta)} over the
-    full circle; returns the vertex list (closed, counterclockwise).
-
-    tau values are per unit Euclidean normal. Raises on a table whose
-    homogeneous extension is not convex (an inactive constraint).
-    """
-    angles = np.asarray(angles, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    if len(angles) < 16:
-        raise StructureError("need tau sampled on at least 16 angles")
-    if np.any(taus <= 0):
-        raise InfeasibleError("tension must be positive")
-    order = np.argsort(angles)
-    angles = angles[order]
-    taus = taus[order]
-    n = len(angles)
-    verts = []
-    for i in range(n):
-        j = (i + 1) % n
-        p = _line_intersect(angles[i], taus[i], angles[j], taus[j])
-        verts.append(p)
-    # prune: every vertex must satisfy all constraints
-    out = []
-    for v in verts:
-        if all(v[0] * math.cos(t) + v[1] * math.sin(t) <= tau * (1 + 1e-9) + 1e-12
-               for t, tau in zip(angles, taus)):
-            out.append(v)
-    if len(out) < 3:
-        raise InfeasibleError("tension table produced a degenerate body")
-    # every halfplane must touch the body: support(theta) == tau(theta)
-    for t, tau in zip(angles, taus):
-        support = max(v[0] * math.cos(t) + v[1] * math.sin(t) for v in out)
-        if support < tau * (1 - 1e-6) - 1e-12:
-            raise InfeasibleError(
-                f"constraint at theta={t:.4f} inactive: input table is not "
-                "the restriction of a convex support function")
-    return out
-
-
-def wulff_from_table(table: TensionTable):
-    """Wulff body straight from an estimated tension table: the [0, pi/4]
-    entries are unfolded over the full circle by the dihedral symmetries."""
-    full = {}
-    for e in table.entries:
-        for k in range(4):
-            for s in (1, -1):
-                ang = (s * e.theta + k * math.pi / 2.0) % (2.0 * math.pi)
-                full[round(ang, 12)] = e.tau
-    angles = np.array(sorted(full))
-    return wulff_shape(angles, np.array([full[a] for a in angles]))
-
-
-def _line_intersect(t1, tau1, t2, tau2):
-    a = np.array([[math.cos(t1), math.sin(t1)], [math.cos(t2), math.sin(t2)]])
-    b = np.array([tau1, tau2])
-    return tuple(np.linalg.solve(a, b))
-
-
-def polygon_area(verts):
-    s = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
-        s += x0 * y1 - x1 * y0
-    return 0.5 * abs(s)
-
-
-def unit_wulff(verts):
-    """Rescale a Wulff body to unit area."""
-    s = 1.0 / math.sqrt(polygon_area(verts))
-    return [(x * s, y * s) for (x, y) in verts]

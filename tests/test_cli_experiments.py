@@ -9,6 +9,7 @@ from zgff.errors import InfeasibleError
 from zgff.experiments import (height_fluctuation_exponent, run_end_to_end,
                               run_pipeline)
 from zgff.mcmc import sample_equilibrium
+from zgff.rw import laplace_increment_law
 from zgff.scales import ScaleTable, estimate_height_prob
 from zgff.surface import SurfaceConfig, read_snapshot
 from zgff.tension import tension_table
@@ -48,6 +49,8 @@ def test_endtoend_mocked_deterministic(tmp_path):
     # Y identically constant: a KS value is still computed and reported
     assert rec["ks_by_level"]["0"] is not None
     assert "sup_gap_median" in rec
+    # an injected scale table comes from no histogram, so no sample seed
+    assert rec["sample_seed"] is None
 
 
 def test_endtoend_refuses_exceptional_L(tmp_path):
@@ -280,6 +283,7 @@ def test_cli_readme_endtoend_config_exits_zero(tmp_path, monkeypatch):
     assert main(["endtoend", "--config", "e2e.cfg"]) == 0
     rec = json.loads((tmp_path / "out" / "e2e" / "endtoend.json").read_text())
     assert rec["H"] == 1
+    assert rec["sample_seed"] == 7 + 101
     assert rec["ks_by_level"]["0"] is not None
 
 
@@ -330,15 +334,25 @@ def test_scales_record_reproduces_its_hits(tmp_path):
 def test_cli_tension_runs_at_the_model_beta(tmp_path, capsys):
     out = tmp_path / "t"
     assert main(["tension", "--beta", "3.0", "--out", str(out)]) == 0
-    rec = json.loads((out / "wulff.json").read_text())
-    assert rec["beta"] == 3.0 and "n" not in rec
+    assert not (out / "wulff.json").exists()
     # the axis row is the transfer estimate at beta = 3, not at another beta
     theta, tau = (out / "tension.csv").read_text().splitlines()[2].split(",")[:2]
     assert float(theta) == 0.0
     assert float(tau) == tension_table(3.0, directions=((1, 0),)).entries[0].tau
-    # at beta = 1.3 the truncated ensemble's table is not convex: exit 3, no
-    # body written at some other beta
+    # at beta = 1.3 every row's estimate lies within its CI of the closed
+    # form, and the summary carries the Laplace walk's sigma^2
+    mid = tmp_path / "mid"
+    capsys.readouterr()
+    assert main(["tension", "--beta", "1.3", "--out", str(mid)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["sigma2"] == laplace_increment_law(1.3).y_variance
+    lines = (mid / "tension.csv").read_text().splitlines()
+    assert lines[1] == "theta,tau,tau_exact,ci,N_used"
+    for row in lines[2:]:
+        _, tau, tau_exact, ci, _ = map(float, row.split(","))
+        assert abs(tau - tau_exact) <= ci
+    # below ln(1 + sqrt 2) the ensemble has no positive tension: exit 3
     low = tmp_path / "low"
-    assert main(["tension", "--beta", "1.3", "--out", str(low)]) == 3
-    assert "inactive" in capsys.readouterr().err
-    assert not (low / "wulff.json").exists()
+    assert main(["tension", "--beta", "0.8", "--out", str(low)]) == 3
+    assert "0.8814" in capsys.readouterr().err
+    assert not (low / "tension.csv").exists()
