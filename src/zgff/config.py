@@ -93,6 +93,7 @@ class ExperimentConfig:
                                     ("run", "seed", 0)):
             if self.get(section, key) < least:
                 raise ConfigError(f"[{section}] {key} must be >= {least}")
+        model_params_from(self)
         return self
 
     def canonical_text(self, exclude=()):
@@ -112,10 +113,6 @@ class ExperimentConfig:
         # directory must reproduce the same stamped hash
         return hashlib.sha256(
             self.canonical_text(exclude=("out",)).encode()).hexdigest()[:16]
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.canonical_text())
 
 
 def _fmt(v):
@@ -138,21 +135,26 @@ def _coerce(section, key, value):
 
 
 def model_params_from(cfg: ExperimentConfig):
+    """The [model] section as ModelParams: boundary all:K, floor and ceiling
+    an integer or none. ConfigError names a malformed value."""
     from .surface import ModelParams
+
+    def integer(key, text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"[model] {key}: cannot parse "
+                              f"{cfg.get('model', key)!r}") from None
+
     bspec = cfg.get("model", "boundary")
-    if bspec.startswith("all:"):
-        boundary_spec = ("all", int(bspec.split(":", 1)[1]))
-    elif bspec.startswith("split-arc:"):
-        boundary_spec = ("split-arc", tuple(bspec.split(":", 1)[1].split(",")))
-    else:
-        raise ConfigError(f"unsupported boundary spec {bspec!r}")
-    floor = cfg.get("model", "floor")
-    floor = None if floor == "none" else int(floor)
-    ceiling = cfg.get("model", "ceiling")
-    ceiling = None if ceiling == "none" else int(ceiling)
+    if not bspec.startswith("all:"):
+        raise ConfigError(f"unsupported boundary spec {bspec!r}; use all:K")
+    floor, ceiling = (None if cfg.get("model", k) == "none"
+                      else integer(k, cfg.get("model", k))
+                      for k in ("floor", "ceiling"))
     return ModelParams(p=cfg.get("model", "p"), beta=cfg.get("model", "beta"),
-                       boundary_spec=boundary_spec, floor_spec=floor,
-                       ceiling_spec=ceiling)
+                       boundary_spec=("all", integer("boundary", bspec[4:])),
+                       floor_spec=floor, ceiling_spec=ceiling)
 
 
 @dataclass

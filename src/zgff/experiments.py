@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, RunManifest, model_params_from
-from .errors import CoverageError, DegenerateInputError, InfeasibleError
+from .errors import DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
 from .levellines import (extract_level_lines, loops_to_records, profile,
-                         rescale, top_level_loop)
+                         top_level_loop)
 from .mcmc import sample_equilibrium
 from .rw import (basic_increment_law, fs_bridge_spec, fs_comparison,
                  laplace_increment_law, sample_tilted_bridge,
@@ -33,9 +33,21 @@ from .surface import ModelParams, SurfaceConfig, write_snapshot
 from .tension import tension_closed_form, tension_table
 
 
-def _write_lines(path, lines):
+def _cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv(path, cfg, header, rows):
+    """A CSV artifact: the config-hash stamp, the header, one line per row.
+    Floats (numpy's too) are written as repr(float(v)), None as a blank cell,
+    anything else by str."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# config_hash={cfg.hash()}\n{header}\n")
+        fh.writelines(",".join(map(_cell, r)) + "\n" for r in rows)
 
 
 def _json_dump(path, obj):
@@ -89,10 +101,9 @@ def run_surface(cfg, out_dir):
         name = f"snapshot_{i:05d}.snap"
         write_snapshot(os.path.join(out_dir, name), snap, params)
         artifacts.append(name)
-    lines = [f"# config_hash={cfg.hash()}", "snapshot_index,seed,mean_height"]
-    for i, snap in enumerate(snaps):
-        lines.append(f"{i},{seed},{float(snap.heights.mean())!r}")
-    _write_lines(os.path.join(out_dir, "snapshots.csv"), lines)
+    _write_csv(os.path.join(out_dir, "snapshots.csv"), cfg,
+               "snapshot_index,seed,mean_height",
+               ((i, seed, snap.heights.mean()) for i, snap in enumerate(snaps)))
     artifacts.append("snapshots.csv")
     summary = {"n_snapshots": len(snaps), "autocorr_time_sweeps":
                None if math.isnan(diag["autocorr_time_sweeps"])
@@ -114,11 +125,9 @@ def run_scales(cfg, out_dir):
     L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
     hist, table = _scale_table(cfg, model_params_from(cfg))
-    lines = [f"# config_hash={cfg.hash()}", "h,prob,ci_half,L_h"]
-    for h in sorted(hist.probs):
-        lh = table.L_h.get(h, "")
-        lines.append(f"{h},{float(hist.probs[h])!r},{float(hist.ci_half.get(h, 0.0))!r},{lh}")
-    _write_lines(os.path.join(out_dir, "scale_table.csv"), lines)
+    _write_csv(os.path.join(out_dir, "scale_table.csv"), cfg, "h,prob,ci_half,L_h",
+               ((h, hist.probs[h], hist.ci_half.get(h, 0.0), table.L_h.get(h))
+                for h in sorted(hist.probs)))
     record = {"config_hash": cfg.hash(), "L": L, "H": table.H, "N": table.N,
               "bad_intervals": table.bad_intervals,
               "L_in_bad_set": table.L_in_bad_set,
@@ -138,22 +147,16 @@ def run_fs(cfg, out_dir):
     seed = cfg.get("run", "seed")
     model = FSModel(sigma=sigma)
     xs = np.linspace(0.0, model.x_max, 2001)
-    lines = [f"# config_hash={cfg.hash()}", "x,pdf,cdf"]
-    for x, pdf, cdf in zip(xs.tolist(), fs_density(xs, model).tolist(),
-                           fs_cdf(xs, model).tolist()):
-        lines.append(f"{x!r},{pdf!r},{cdf!r}")
-    _write_lines(os.path.join(out_dir, "fs_table.csv"), lines)
+    _write_csv(os.path.join(out_dir, "fs_table.csv"), cfg, "x,pdf,cdf",
+               zip(xs, fs_density(xs, model), fs_cdf(xs, model)))
     paths = sample_paths(model, cfg.get("fs", "paths"),
                          cfg.get("fs", "steps") // cfg.get("fs", "paths"),
                          cfg.get("fs", "dt"), cfg.get("fs", "x0"), seed)
     marg = paths[:, paths.shape[1] // 5:].ravel()[::7]
     ks = ks_distance(marg, model)
-    lines = [f"# config_hash={cfg.hash()}", "path,step,x"]
-    sub = paths[:, :: max(1, paths.shape[1] // 200)]
-    for i in range(min(8, sub.shape[0])):
-        for j in range(sub.shape[1]):
-            lines.append(f"{i},{j},{float(sub[i, j])!r}")
-    _write_lines(os.path.join(out_dir, "fs_paths.csv"), lines)
+    sub = paths[:8, :: max(1, paths.shape[1] // 200)]
+    _write_csv(os.path.join(out_dir, "fs_paths.csv"), cfg, "path,step,x",
+               ((i, j, x) for i, row in enumerate(sub) for j, x in enumerate(row)))
     summary = {"sigma": sigma, "ks_path_marginals": round(float(ks), 5),
                "seed": seed}
     return ["fs_table.csv", "fs_paths.csv"], summary
@@ -167,13 +170,11 @@ def run_rw_oracle(cfg, out_dir):
     W = spec.width
     win = W // 6
     heights, marg = transfer_matrix_exact(spec)
-    lines = [f"# config_hash={cfg.hash()}", "t,height,probability"]
-    for col in (W // 2 - win, W // 2, W // 2 + win):
-        t = (col - W // 2) / win
-        for h, p in zip(heights, marg[col]):
-            if p > 1e-15:
-                lines.append(f"{float(t)!r},{int(h)},{float(p)!r}")
-    _write_lines(os.path.join(out_dir, "rw_marginals.csv"), lines)
+    _write_csv(os.path.join(out_dir, "rw_marginals.csv"), cfg,
+               "t,height,probability",
+               (((col - W // 2) / win, int(h), p)
+                for col in (W // 2 - win, W // 2, W // 2 + win)
+                for h, p in zip(heights, marg[col]) if p > 1e-15))
     paths, diag = sample_tilted_bridge(spec, cfg.get("rw", "samples"), seed,
                                        method="transfer")
     rep = fs_comparison(paths, N, math.sqrt(law.y_variance))
@@ -195,22 +196,18 @@ def run_tension(cfg, out_dir):
             f"beta={beta} <= ln(1 + sqrt 2) = 0.8814: the truncated ensemble's "
             "axis tension beta - log coth(beta/2) is not positive")
     table = tension_table(beta)
-    lines = [f"# config_hash={cfg.hash()}", "theta,tau,tau_exact,ci,N_used"]
-    for e in table.entries:
-        lines.append(f"{e.theta!r},{e.tau!r},{tension_closed_form(beta, e.theta)!r},"
-                     f"{e.ci!r},{max(e.sizes) * e.direction[0]}")
-    _write_lines(os.path.join(out_dir, "tension.csv"), lines)
+    _write_csv(os.path.join(out_dir, "tension.csv"), cfg,
+               "theta,tau,tau_exact,ci,N_used",
+               ((e.theta, e.tau, tension_closed_form(beta, e.theta), e.ci,
+                 max(e.sizes) * e.direction[0]) for e in table.entries))
     return ["tension.csv"], {"tau0_over_beta": round(table.entries[0].tau / beta, 6),
                              "sigma2": laplace_increment_law(beta).y_variance}
 
 
-def run_levellines(cfg, out_dir, snapshots=None):
+def run_levellines(cfg, out_dir):
     """Extract loops at every level of each snapshot and export them."""
-    params = model_params_from(cfg)
-    L = cfg.get("lattice", "L")
     seed = cfg.get("run", "seed")
-    if snapshots is None:
-        snapshots, _ = _sample(cfg, params)
+    snapshots, _ = _sample(cfg, model_params_from(cfg))
     records = []
     for idx, snap in enumerate(snapshots):
         hmax = int(snap.heights.max())
@@ -227,7 +224,7 @@ def run_levellines(cfg, out_dir, snapshots=None):
 
 
 def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
-    """simulate -> top-m level lines -> profiles -> rescale -> KS vs FS ->
+    """simulate -> top-m level lines -> rescaled profiles -> KS vs FS ->
     cross-level dependence -> manifest.
 
     snapshots/scale_table may be injected (tests mock the sampler with fixed
@@ -257,40 +254,24 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     sup_gaps = []
     for idx, snap in enumerate(snapshots):
         for n in range(m):
-            h = H - n
-            if h < 1:
-                missing[n].append(idx)
-                continue
-            top = top_level_loop(snap, h)
+            top = top_level_loop(snap, H - n) if H > n else None
             if top is None:
                 missing[n].append(idx)
                 continue
+            # top crosses the centre column, so Y(0) is always read
             N_n = scale_table.N[n]
-            K = min(1.0, (L / 2 - 1) / N_n ** (2.0 / 3.0))
-            try:
-                prof = profile(top, n, N_n, L, K=K)
-            except CoverageError:
-                missing[n].append(idx)
-                continue
-            t, Y, sup_gap = rescale(prof, N_n)
-            if not math.isnan(sup_gap):
-                sup_gaps.append(sup_gap)
-            mid = len(t) // 2
-            if prof.covered[mid]:
-                y0_by_level[n][idx] = float(Y[mid])
-            for j in range(len(t)):
-                rows.append((idx, seed, n, float(t[j]),
-                             None if not prof.covered[j] else float(prof.rho[j]),
-                             None if not prof.covered[j] else float(prof.rho_bar[j]),
-                             None if not prof.covered[j] else float(Y[j])))
+            t, rho, rho_bar, Y = profile(top, N_n, L)
+            gap = rho_bar - rho
+            if not np.isnan(gap).all():
+                sup_gaps.append(float(np.nanmax(gap) / N_n ** (1.0 / 3.0)))
+            y0_by_level[n][idx] = float(Y[len(t) // 2])
+            for j, x in enumerate(t):
+                cells = ((None,) * 3 if np.isnan(rho[j])
+                         else (rho[j], rho_bar[j], Y[j]))
+                rows.append((idx, seed, n, x, *cells))
 
-    lines = [f"# config_hash={cfg.hash()}",
-             "snapshot_index,seed,level_n,t,rho,rhoBar,Y"]
-    for r in rows:
-        vals = [("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-                for v in r]
-        lines.append(",".join(vals))
-    _write_lines(os.path.join(out_dir, "profiles.csv"), lines)
+    _write_csv(os.path.join(out_dir, "profiles.csv"), cfg,
+               "snapshot_index,seed,level_n,t,rho,rhoBar,Y", rows)
 
     y0s = [np.asarray(list(y0_by_level[n].values())) for n in range(m)]
     model = FSModel(sigma=sigma) if any(len(ys) >= 10 for ys in y0s) else None

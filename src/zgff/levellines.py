@@ -259,37 +259,28 @@ def nesting_report(config: SurfaceConfig, h_max=None):
     return {"levels": per_level, "nested": nested, "nesting_pairs": pairs}
 
 
-@dataclass
-class LevelProfile:
-    """Vertical distance profile of one loop over a centered column window."""
+def profile(loop: LevelLoop, N_n, L):
+    """The loop's top-line read-out over the 2W + 1 columns around the centre
+    column L // 2, W = ceil(K N_n^(2/3)) with K = min(1, (L/2 - 1) / N_n^(2/3))
+    keeping the window inside the box.
 
-    n: int
-    half_width: int
-    columns: np.ndarray          # x offsets from the center column
-    rho: np.ndarray              # min hit height per column (nan if no hit)
-    rho_bar: np.ndarray          # max hit height <= L/2 (nan if none)
-    covered: np.ndarray          # bool per column
-    center: int
-    L: int
-
-
-def profile(loop: LevelLoop, n, N_n, L, K=1.0):
-    """rho_n(x) = min{y >= 0 : (L/2 + x, y) in loop} and the companion
-    rho_bar over x in [-W, W], W = ceil(K * N_n^(2/3)).
-
-    Columns the loop never meets are flagged, not interpolated. Raises
-    CoverageError if the loop misses the whole window.
+    Returns (t, rho, rho_bar, Y) per column offset x in [-W, W]:
+    t = x / N_n^(2/3), rho(x) = min{y >= 0 : (L/2 + x, y) in loop}, rho_bar(x)
+    the largest such y <= L/2, and Y = rho / N_n^(1/3). NaN marks a column
+    the loop misses (flagged, not interpolated); rho_bar is also NaN where
+    every hit lies above L/2. Raises CoverageError if the loop misses the
+    whole window.
     """
-    W = int(math.ceil(K * N_n ** (2.0 / 3.0)))
+    span = N_n ** (2.0 / 3.0)
+    W = int(math.ceil(min(1.0, (L / 2 - 1) / span) * span))
     center = L // 2
     xs = np.arange(-W, W + 1)
     rho = np.full(xs.shape, np.nan)
     rho_bar = np.full(xs.shape, np.nan)
-    covered = np.zeros(xs.shape, dtype=bool)
     half = L / 2.0
-    # column_hits of every window column inside [0, L], in one pass over the
-    # bonds
-    hits = {c: set() for c in range(max(0, center - W), min(L, center + W) + 1)}
+    # column_hits of every window column (all inside [0, L]), in one pass
+    # over the bonds
+    hits = {c: set() for c in range(center - W, center + W + 1)}
     for a, b, d in loop.bonds:
         if d == "v":
             if a in hits:
@@ -303,27 +294,12 @@ def profile(loop: LevelLoop, n, N_n, L, K=1.0):
         if not ys:
             continue
         j = c - center + W
-        covered[j] = True
         rho[j] = min(ys)
         below = [y for y in ys if y <= half]
         rho_bar[j] = max(below) if below else np.nan
-    if not covered.any():
+    if np.isnan(rho).all():
         raise CoverageError("loop misses the entire measurement interval")
-    return LevelProfile(n=n, half_width=W, columns=xs, rho=rho, rho_bar=rho_bar,
-                        covered=covered, center=center, L=L)
-
-
-def rescale(prof: LevelProfile, N_n):
-    """Y_n(t) = N_n^(-1/3) rho_n(t N_n^(2/3)) on the integer column grid.
-
-    Returns (t, Y, sup_gap) with sup_gap = N_n^(-1/3) max(rho_bar - rho),
-    ignoring flagged columns.
-    """
-    t = prof.columns / N_n ** (2.0 / 3.0)
-    Y = prof.rho / N_n ** (1.0 / 3.0)
-    gap = prof.rho_bar - prof.rho
-    sup_gap = float(np.nanmax(gap) / N_n ** (1.0 / 3.0)) if np.any(~np.isnan(gap)) else float("nan")
-    return t, Y, sup_gap
+    return xs / span, rho, rho_bar, rho / N_n ** (1.0 / 3.0)
 
 
 def loops_to_records(loops):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,33 @@ def test_csv_rows_carry_snapshot_and_seed(tmp_path):
     assert lines[2].split(",")[0] == "0"
 
 
+def test_profiles_csv_bytes_with_uncovered_columns(tmp_path):
+    # a plateau over cell columns 6-9 meets corner columns 6-10 of the
+    # window 4-12 (N_0 = 8: four columns each side); the other four columns
+    # are blank cells, and a snapshot without a top loop writes no rows
+    cfg = ExperimentConfig.default(**{"pipeline.name": "endtoend",
+                                      "lattice.L": 16})
+    snap = SurfaceConfig.flat(16)
+    snap.heights[6:10, 2:14] = 1
+    table = ScaleTable(L=16, H=1, N=[8.0], L_h={1: 50}, bad_intervals=[],
+                       L_in_bad_set=False, threshold=0.1)
+    run_end_to_end(cfg, tmp_path, snapshots=[SurfaceConfig.flat(16), snap],
+                   scale_table=table)
+    # t = x / 8^(2/3), and 8^(2/3) rounds to 3.9999999999999996
+    assert (tmp_path / "profiles.csv").read_bytes() == (
+        f"# config_hash={cfg.hash()}\n"
+        "snapshot_index,seed,level_n,t,rho,rhoBar,Y\n"
+        "1,1,0,-1.0000000000000002,,,\n"
+        "1,1,0,-0.7500000000000001,,,\n"
+        "1,1,0,-0.5000000000000001,2.0,8.0,1.0\n"
+        "1,1,0,-0.25000000000000006,2.0,2.0,1.0\n"
+        "1,1,0,0.0,2.0,2.0,1.0\n"
+        "1,1,0,0.25000000000000006,2.0,2.0,1.0\n"
+        "1,1,0,0.5000000000000001,2.0,8.0,1.0\n"
+        "1,1,0,0.7500000000000001,,,\n"
+        "1,1,0,1.0000000000000002,,,\n").encode()
+
+
 def test_replay_byte_identical_fs_pipeline(tmp_path):
     cfg = ExperimentConfig.default()
     cfg.set("pipeline", "name", "fs")
@@ -215,11 +246,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["simulate", "--thin", "-1", "--sweeps", "5", "--burnin", "1"],
                  ["scales", "--L", "0"], ["simulate", "--L", "-3"],
                  ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"],
+                 ["simulate", "--floor", "abc"], ["simulate", "--boundary", "all:x"],
+                 ["simulate", "--beta", "-1"],
+                 ["simulate", "--boundary", "split-arc:left"],
+                 ["levellines", "--boundary", "split-arc:left,top"],
+                 ["scales", "--boundary", "split-arc:top"],
                  *(["endtoend", "--config", str(t)] for t in typos)):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
     err = capsys.readouterr().err
-    assert all(name in err for name in ("[rw] kmax", "[rw] kmx", "[bogus]"))
+    assert all(name in err for name in ("[rw] kmax", "[rw] kmx", "[bogus]",
+                                        "[model] floor", "[model] boundary",
+                                        "'split-arc:top'"))
 
 
 def test_cli_rw_oracle_laplace_law(tmp_path):
@@ -356,3 +394,19 @@ def test_cli_tension_runs_at_the_model_beta(tmp_path, capsys):
     assert main(["tension", "--beta", "0.8", "--out", str(low)]) == 3
     assert "0.8814" in capsys.readouterr().err
     assert not (low / "tension.csv").exists()
+
+
+def test_scaling_study_script_runs():
+    # the README's scaling-study script at two small sides: exit 0, one JSON
+    # line per side and one for the fitted exponent
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "run_scaling_study.py"),
+                          "--sides", "16", "24", "--snapshots", "4"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rows = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [r.get("L") for r in rows] == [16, 24, None]
+    assert all(r["n_used"] + r["n_missing"] == 4 for r in rows[:2])
+    assert "exponent" in rows[2]

@@ -11,7 +11,7 @@ from oracles import disagreement_duals_reference
 from zgff.errors import CoverageError, StructureError
 from zgff.levellines import (LevelLoop, enclosed_region, extract_level_lines,
                              loops_to_records, macroscopic_threshold,
-                             nesting_report, profile, rescale, top_level_loop)
+                             nesting_report, profile, top_level_loop)
 from zgff.surface import SurfaceConfig, build_boundary
 
 
@@ -146,10 +146,10 @@ def test_profile_rectangle_at_height_three():
     # rectangle spanning the interval, bottom edge at 3, top above L/2
     L = 16
     loop = _rect_loop(2, 14, 3, 13)
-    prof = profile(loop, 0, 8.0, L)     # window +-4 around column 8
-    assert np.all(prof.covered)
-    assert np.all(prof.rho == 3.0)
-    assert np.all(prof.rho_bar == 3.0)  # no loop point in (3, L/2] on middle columns
+    t, rho, rho_bar, _ = profile(loop, 8.0, L)     # window +-4 around column 8
+    assert np.allclose(t, np.arange(-4, 5) / 4.0)
+    assert np.all(rho == 3.0)
+    assert np.all(rho_bar == 3.0)  # no loop point in (3, L/2] on middle columns
 
 
 def test_profile_notch():
@@ -160,11 +160,11 @@ def test_profile_notch():
     bonds += [(8, 3, "v"), (8, 4, "h"), (9, 3, "v")]
     notched = LevelLoop(level=0, bonds=bonds, length=len(bonds),
                         interior_area=loop.interior_area - 1, macroscopic=True)
-    prof = profile(notched, 0, 8.0, L)
-    mid = list(prof.columns).index(0)
+    t, rho, _, _ = profile(notched, 8.0, L)
+    mid = list(t).index(0.0)
     # the notch spans columns 8 and 9: x offsets 0 and +1
-    assert prof.rho[mid] == 3.0          # corner (8,3) still on the loop
-    assert prof.rho[mid + 1] == 3.0
+    assert rho[mid] == 3.0          # corner (8,3) still on the loop
+    assert rho[mid + 1] == 3.0
     hit9 = notched.column_hits(9)
     assert 4 in hit9                     # raised lip visible at the notch
 
@@ -172,38 +172,35 @@ def test_profile_notch():
 def test_profile_flags_and_coverage_error():
     L = 16
     small = _rect_loop(2, 6, 3, 5)       # misses the right half of the window
-    prof = profile(small, 0, 8.0, L)
-    assert not prof.covered[-1]
-    assert np.isnan(prof.rho[-1])
+    t, rho, rho_bar, Y = profile(small, 8.0, L)
+    assert np.isnan(rho[-1]) and np.isnan(rho_bar[-1]) and np.isnan(Y[-1])
+    assert not np.isnan(rho[0])
     far = _rect_loop(0, 2, 3, 5)         # entirely outside the window
     with pytest.raises(CoverageError):
-        profile(far, 0, 8.0, L)
+        profile(far, 8.0, L)
 
 
-def test_rescale_constant_levels():
+def test_profile_rescales_constant_levels():
     L = 64
     N = 8.0                              # N^{1/3} = 2, N^{2/3} = 4
-    lo = _rect_loop(8, 56, 2, 40)
-    prof = profile(lo, 0, N, L)
-    prof.rho[:] = N ** (1.0 / 3.0)
-    prof.rho_bar[:] = N ** (1.0 / 3.0)
-    t, Y, gap = rescale(prof, N)
-    assert np.allclose(Y, 1.0)
-    assert gap == 0.0
-    prof.rho[:] = 0.0
-    t, Y, gap = rescale(prof, N)
-    assert np.allclose(Y, 0.0)
+    for bottom, level in ((2, 1.0), (0, 0.0)):
+        t, rho, rho_bar, Y = profile(_rect_loop(8, 56, bottom, 40), N, L)
+        assert np.allclose(t, np.arange(-4, 5) / 4.0)
+        assert np.allclose(Y, level)
+        assert np.all(rho_bar - rho == 0.0)
 
 
-def test_rescale_linear_spot_check():
-    # rho(x) = x + 8 on columns x in [-4, 4]: Y(t) = (t N^{2/3} + 8)/N^{1/3}
+def test_profile_rescales_linear_spot_check():
+    # a staircase plateau whose lower edge gives rho(x) = x + 8 on columns
+    # x in [-4, 4]: Y(t) = (t N^{2/3} + 8)/N^{1/3}
     L, N = 32, 8.0
-    lo = _rect_loop(2, 30, 2, 20)
-    prof = profile(lo, 0, N, L)
-    prof.rho[:] = prof.columns + 8.0
-    t, Y, _ = rescale(prof, N)
-    for j in (0, 4, 8):
-        x = prof.columns[j]
+    cfg = SurfaceConfig.flat(L)
+    for x in range(2, 30):
+        cfg.heights[x, max(2, x - 7):28] = 1
+    t, rho, rho_bar, Y = profile(top_level_loop(cfg, 1), N, L)
+    for j in range(9):
+        x = j - 4
+        assert rho[j] == x + 8.0 and rho_bar[j] == x + 9.0
         assert t[j] == pytest.approx(x / N ** (2.0 / 3.0))
         assert Y[j] == pytest.approx((x + 8.0) / N ** (1.0 / 3.0))
 
@@ -261,7 +258,9 @@ def test_top_level_loop_matches_largest_loop_on_sampled_plateaus(monkeypatch):
     assert calls == []          # every snapshot took the traced path
 
 
-def test_top_level_loop_fallbacks(monkeypatch):
+def _fallback_configs():
+    """Level-1 configs off top_level_loop's half-box path: (small, raised,
+    offside)."""
     # small plateau: the loop encloses less than half the box
     small = SurfaceConfig.flat(32)
     small.heights[12:20, 10:18] = 1
@@ -276,6 +275,11 @@ def test_top_level_loop_fallbacks(monkeypatch):
     # which cannot give Y(0)
     offside = SurfaceConfig.flat(32)
     offside.heights[2:12, 4:28] = 1
+    return small, raised, offside
+
+
+def test_top_level_loop_fallbacks(monkeypatch):
+    small, raised, offside = _fallback_configs()
     refs = [_largest_macroscopic(c, 1) for c in (small, raised)]
     assert any(lp.macroscopic for lp in extract_level_lines(offside, 1))
     calls = _count_extractions(monkeypatch)
@@ -322,23 +326,21 @@ def test_top_level_loop_matches_column_reference(seed):
 
 
 def _profile_reference(loop, N_n, L):
-    """profile's rho, rho_bar and covered, read column by column through
-    column_hits; columns outside [0, L] stay flagged."""
-    W = int(math.ceil(N_n ** (2.0 / 3.0)))
-    rho, rho_bar, covered = [], [], []
+    """profile's rho and rho_bar, read column by column through column_hits
+    over the window of N_n^(2/3) columns each side, cut to L/2 - 1."""
+    W = int(math.ceil(min(N_n ** (2.0 / 3.0), L / 2 - 1)))
+    rho, rho_bar = [], []
     for x in range(-W, W + 1):
-        c = L // 2 + x
-        ys = loop.column_hits(c) if 0 <= c <= L else []
+        ys = loop.column_hits(L // 2 + x)
         below = [y for y in ys if y <= L / 2.0]
-        covered.append(bool(ys))
         rho.append(ys[0] if ys else np.nan)
         rho_bar.append(below[-1] if below else np.nan)
-    return np.array(rho), np.array(rho_bar), np.array(covered)
+    return np.array(rho), np.array(rho_bar)
 
 
 def test_profile_matches_per_column_hits():
     # sampled plateau loops at every level, and the notched rectangle; the
-    # larger N_n put window columns outside [0, L]
+    # larger N_n would reach past the box, so the box cuts their window
     loops = [(lp, 64) for snap in _sampled_plateau(64, 7)
              for h in (1, 2) for lp in extract_level_lines(snap, h)]
     notched = _rect_loop(2, 14, 3, 13)
@@ -348,17 +350,31 @@ def test_profile_matches_per_column_hits():
     checked = 0
     for loop, L in loops:
         for N_n in (1.0, 8.0, 50.0, 600.0):
-            rho, rho_bar, covered = _profile_reference(loop, N_n, L)
-            if not covered.any():
+            rho, rho_bar = _profile_reference(loop, N_n, L)
+            if np.isnan(rho).all():
                 with pytest.raises(CoverageError):
-                    profile(loop, 0, N_n, L)
+                    profile(loop, N_n, L)
                 continue
-            prof = profile(loop, 0, N_n, L)
-            assert np.array_equal(prof.covered, covered)
-            assert np.array_equal(prof.rho, rho, equal_nan=True)
-            assert np.array_equal(prof.rho_bar, rho_bar, equal_nan=True)
+            got = profile(loop, N_n, L)
+            W = len(rho) // 2
+            assert np.array_equal(got[0], np.arange(-W, W + 1) / N_n ** (2.0 / 3.0))
+            assert np.array_equal(got[1], rho, equal_nan=True)
+            assert np.array_equal(got[2], rho_bar, equal_nan=True)
+            assert np.array_equal(got[3], rho / N_n ** (1.0 / 3.0), equal_nan=True)
             checked += 1
     assert checked > 20
+
+
+def test_top_level_loop_covers_the_profile_centre():
+    # every returned loop crosses the centre column, so Y(0) is always read
+    small, raised, _ = _fallback_configs()
+    configs = _sampled_plateau(64, 5) + _sampled_plateau(96, 6) + [small, raised]
+    for cfg in configs:
+        top = top_level_loop(cfg, 1)
+        for N_n in (1.0, 8.0, 133.0, 1e5):
+            t, rho, _, _ = profile(top, N_n, cfg.L)
+            mid = len(t) // 2
+            assert t[mid] == 0.0 and not np.isnan(rho[mid])
 
 
 def test_top_level_loop_none_without_macroscopic_loop():
