@@ -1,7 +1,7 @@
 """zgff command line: simulate | levellines | scales | fs | rw-oracle |
 tension | endtoend, each driven by a config file with optional overrides.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible/degenerate/unordered coupling,
+Exit codes: 0 ok, 2 config error, 3 infeasible/degenerate input,
 4 resource limit, 5 the compiled sweep routine could not be built.
 """
 
@@ -13,8 +13,8 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import (BuildError, ConfigError, CoverageError, DegenerateInputError,
-                     InfeasibleError, InvalidConstraintError, OrderingError,
-                     ResourceLimitError, StructureError)
+                     InfeasibleError, InvalidConstraintError, ResourceLimitError,
+                     StructureError)
 
 _PIPELINE_OF = {
     "simulate": "surface",
@@ -76,7 +76,7 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (InfeasibleError, InvalidConstraintError, DegenerateInputError,
-            CoverageError, OrderingError) as e:
+            CoverageError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
     except ResourceLimitError as e:

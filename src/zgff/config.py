@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidConstraintError
 
 PIPELINES = ("surface", "scales", "fs", "rw", "tension", "levellines", "endtoend")
 LAWS = ("basic", "laplace")
@@ -136,7 +136,8 @@ def _coerce(section, key, value):
 
 def model_params_from(cfg: ExperimentConfig):
     """The [model] section as ModelParams: boundary all:K, floor and ceiling
-    an integer or none. ConfigError names a malformed value."""
+    an integer or none. ConfigError names a malformed value, and
+    InvalidConstraintError a floor above the ceiling."""
     from .surface import ModelParams
 
     def integer(key, text):
@@ -152,6 +153,8 @@ def model_params_from(cfg: ExperimentConfig):
     floor, ceiling = (None if cfg.get("model", k) == "none"
                       else integer(k, cfg.get("model", k))
                       for k in ("floor", "ceiling"))
+    if floor is not None and ceiling is not None and floor > ceiling:
+        raise InvalidConstraintError(f"[model] floor {floor} above ceiling {ceiling}")
     return ModelParams(p=cfg.get("model", "p"), beta=cfg.get("model", "beta"),
                        boundary_spec=("all", integer("boundary", bspec[4:])),
                        floor_spec=floor, ceiling_spec=ceiling)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError and StructureError -> 2;
-InfeasibleError, InvalidConstraintError, DegenerateInputError, CoverageError
-and OrderingError -> 3; ResourceLimitError -> 4; BuildError -> 5.
+InfeasibleError, InvalidConstraintError, DegenerateInputError and
+CoverageError -> 3; ResourceLimitError -> 4; BuildError -> 5.
 """
 
 
@@ -20,10 +20,6 @@ class StructureError(ZgffError):
 
 class InvalidConstraintError(ZgffError):
     """Contradictory constraints, e.g. floor above ceiling."""
-
-
-class OrderingError(ZgffError):
-    """Monotone-coupling precondition violated (inputs not pointwise ordered)."""
 
 
 class InfeasibleError(ZgffError):

@@ -131,7 +131,7 @@ def run_scales(cfg, out_dir):
     record = {"config_hash": cfg.hash(), "L": L, "H": table.H, "N": table.N,
               "bad_intervals": table.bad_intervals,
               "L_in_bad_set": table.L_in_bad_set,
-              "threshold": table.threshold,
+              "threshold": table.threshold, "unseen_bound": table.unseen_bound,
               "ld_diagnostics": _jsonable(ld_diagnostics(hist)),
               "warnings": hist.warnings, "seed": seed,
               "sample_seed": hist.seed, "box_size": hist.box_size,

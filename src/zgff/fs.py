@@ -25,13 +25,13 @@ CDF_GRID_POINTS = 10_000
 @dataclass
 class FSModel:
     sigma: float
-    omega1: float = field(default=None)
-    ai_prime_at_minus_omega1: float = field(default=None)
-    normalization: float = field(default=None)   # density = normalization * phi^2
-    x_max: float = field(default=None)
-    x_grid: np.ndarray = field(default=None, repr=False)
-    pdf_grid: np.ndarray = field(default=None, repr=False)
-    cdf_grid: np.ndarray = field(default=None, repr=False)
+    omega1: float = field(init=False)
+    ai_prime_at_minus_omega1: float = field(init=False)
+    normalization: float = field(init=False)   # density = normalization * phi^2
+    x_max: float = field(init=False)
+    x_grid: np.ndarray = field(init=False, repr=False)
+    pdf_grid: np.ndarray = field(init=False, repr=False)
+    cdf_grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sigma <= 0:

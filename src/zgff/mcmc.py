@@ -1,14 +1,14 @@
 """Heat-bath Glauber dynamics for the |grad phi|^p surface measure.
 
 Randomness is counter-based: the uniform that updates site (x, y) in sweep t
-of a chain is a pure function of (seed, chain, sweep, site). Concretely,
-sweeps are grouped in blocks of B = max(1, 65536 // L^2) sweeps; block g is
-the output of Philox keyed by (seed, chain) at counter (0, 0, 0, g), and
-sweep t reads its L^2 uniforms (indexed y*L + x) from slice t mod B of block
-t // B. Replaying from (seed, sweep 0) reproduces a chain bit-exactly
-regardless of scheduling, and two chains with the same (seed, chain, sweep)
-read the same uniforms: the monotone coupling is run_chain on each state of
-an ordered pair over the same sweeps.
+of a chain is a pure function of (seed, sweep, site). Concretely, sweeps are
+grouped in blocks of B = max(1, 65536 // L^2) sweeps; block g is the output
+of Philox keyed by (seed, 0) at counter (0, 0, 0, g), and sweep t reads its
+L^2 uniforms (indexed y*L + x) from slice t mod B of block t // B. Replaying
+from (seed, sweep 0) reproduces a chain bit-exactly regardless of
+scheduling, and two chains with the same (seed, sweep) read the same
+uniforms: the monotone coupling runs an ordered pair as the two replicas of
+one batch, which read each sweep's uniforms once.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BuildError, InvalidConstraintError, OrderingError,
-                     StructureError)
-from .surface import (ModelParams, SurfaceConfig, bound_grid, build_boundary,
+from .errors import BuildError, InvalidConstraintError, StructureError
+from .surface import (ModelParams, SurfaceConfig, build_boundary,
                       conditional_tables)
 
 SCAN_ORDERS = ("raster", "checkerboard")
@@ -34,49 +33,30 @@ _BLOCK_TARGET = 1 << 16
 class UniformStream:
     """Serves the per-sweep uniform vectors of one chain (see module doc).
 
-    Streams of one key and length share the last block any of them loaded
-    (if it holds at most _BLOCK_TARGET uniforms), so chains that replay the
-    same sweeps, as CFTP's do, generate it once. A larger block (one sweep
-    of L > 256) is generated into one buffer the stream keeps, so the
-    vector of an earlier sweep is overwritten by the next load.
+    The stream owns one block buffer, refilled in place by each load, so the
+    vector of an earlier sweep is overwritten once a sweep of another block
+    is read. The buffer's address is taken once, for the compiled sweep.
     """
 
-    _last = (None, None)   # ((key, n, block id), block)
-
-    def __init__(self, seed, n_per_sweep, chain=0):
-        self.key = np.array([seed % (1 << 64), chain % (1 << 64)], dtype=np.uint64)
+    def __init__(self, seed, n_per_sweep):
+        self.key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
         self.n = n_per_sweep
         self.block_sweeps = max(1, _BLOCK_TARGET // max(1, n_per_sweep))
+        self._block = np.empty(self.block_sweeps * n_per_sweep)
         self._block_id = -1
-        self._block = None
-        self._address = 0
+        self._address = self._block.ctypes.data
 
     def _load(self, g):
         counter = np.array([0, 0, 0, g % (1 << 64)], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=self.key, counter=counter))
-        size = self.block_sweeps * self.n
-        if size <= _BLOCK_TARGET:
-            self._block = gen.random(size)
-        else:
-            # never shared through _last, so the stream refills its own buffer
-            if self._block is None:
-                self._block = np.empty(size)
-            gen.random(out=self._block)
+        gen.random(out=self._block)
         self._block_id = g
 
     def _offset(self, t):
         """Loads the block of sweep t; returns t's index in it."""
         g, r = divmod(t, self.block_sweeps)
         if g != self._block_id:
-            tag = (*self.key.tolist(), self.n, g)
-            last_tag, block = UniformStream._last
-            if tag == last_tag:
-                self._block, self._block_id = block, g
-            else:
-                self._load(g)
-                if self._block.size <= _BLOCK_TARGET:
-                    UniformStream._last = (tag, self._block)
-            self._address = self._block.ctypes.data
+            self._load(g)
         return r * self.n
 
     def sweep(self, t):
@@ -85,8 +65,7 @@ class UniformStream:
 
     def address(self, t):
         """Memory address of sweep t's uniforms, for the compiled sweep."""
-        r = self._offset(t)
-        return self._address + 8 * r
+        return self._address + 8 * self._offset(t)
 
 
 @dataclass
@@ -95,7 +74,6 @@ class ChainState:
     seed: int
     sweep_count: int = 0
     scan_order: str = "raster"
-    chain_id: int = 0
 
     def __post_init__(self):
         if self.scan_order not in SCAN_ORDERS:
@@ -116,14 +94,13 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     valid until the next sweep. config.heights is written back once, at the
     end. n_sweeps < 0 raises StructureError, a floor above the ceiling
     InvalidConstraintError, and a C compiler that is missing or fails on
-    first use BuildError (see _build). This is the engine behind
-    sample_equilibrium and the monotone coupling.
+    first use BuildError (see _build).
     """
     if n_sweeps < 0:
         raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
     cfg = state.config
     L = cfg.L
-    us = UniformStream(state.seed, L * L, chain=state.chain_id)
+    us = UniformStream(state.seed, L * L)
     padded = cfg.padded()
     heights = padded[1:L + 1, 1:L + 1]
     sweep = _Sweep(_kernel(params), padded.reshape(-1), L, 1, state.scan_order,
@@ -363,50 +340,6 @@ class _Sweep:
             pos = self._call(self._ctx, u_address, pos)
 
 
-def check_ordered(lower: SurfaceConfig, upper: SurfaceConfig):
-    if lower.L != upper.L:
-        raise OrderingError("coupled chains must share the lattice size")
-    if np.any(lower.heights > upper.heights):
-        raise OrderingError("lower heights exceed upper heights")
-    for s, v in lower.boundary.items():
-        if v > upper.boundary[s]:
-            raise OrderingError(f"boundary ordering violated at {s}")
-    L = lower.L
-    lo_f = bound_grid(lower.floor, L, -np.inf)
-    up_f = bound_grid(upper.floor, L, -np.inf)
-    lo_c = bound_grid(lower.ceiling, L, np.inf)
-    up_c = bound_grid(upper.ceiling, L, np.inf)
-    if not (np.all(lo_f <= up_f) and np.all(lo_c <= up_c)):
-        raise OrderingError("floor/ceiling ordering violated")
-
-
-def _check_coupling(lower: ChainState, upper: ChainState):
-    """The coupling's preconditions: ordered states (check_ordered), and the
-    same seed, sweep count, chain id and scan order, so that both chains read
-    the same uniform at each site in the same order."""
-    check_ordered(lower.config, upper.config)
-    if ((lower.seed, lower.sweep_count, lower.chain_id, lower.scan_order)
-            != (upper.seed, upper.sweep_count, upper.chain_id, upper.scan_order)):
-        raise OrderingError("coupled chains must share seed, sweep count, "
-                            "chain id and scan order")
-
-
-def monotone_coupled_sweep(lower: ChainState, upper: ChainState,
-                           params: ModelParams, n_sweeps=1) -> tuple:
-    """n_sweeps coupled sweeps: run_chain on each chain over the same sweep
-    range. Both chains consume the same uniform per site and sample by
-    inverse CDF, so pointwise ordering is preserved.
-
-    Preconditions (checked, OrderingError): lower.config <= upper.config
-    pointwise, and the same for boundaries, floors and ceilings; equal seed,
-    sweep count, chain id and scan order.
-    """
-    _check_coupling(lower, upper)
-    run_chain(lower, params, n_sweeps)
-    run_chain(upper, params, n_sweeps)
-    return lower, upper
-
-
 def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
                       floors_lo=None, floors_up=None,
                       ceilings_lo=None, ceilings_up=None):
@@ -452,10 +385,7 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     if not (sweeps > burn_in >= 0 and thinning >= 1):
         raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
     if initial is None:
-        base = 0
-        if params.floor_spec is not None and not isinstance(params.floor_spec, np.ndarray):
-            base = int(params.floor_spec)
-        initial = SurfaceConfig.flat(L, value=base,
+        initial = SurfaceConfig.flat(L, value=_flat_start(params),
                                      boundary=build_boundary(params.boundary_spec, L),
                                      floor=params.floor_spec,
                                      ceiling=params.ceiling_spec)
@@ -483,66 +413,70 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     return snaps, diagnostics
 
 
+def _flat_start(params):
+    """Height of a flat start: the floor when it is an integer, 0 otherwise."""
+    floor = params.floor_spec
+    return int(floor) if isinstance(floor, (int, np.integer)) else 0
+
+
+def _pair(params, L, boundary, low, top, seed, start, n_sweeps, after=None):
+    """The monotone coupling of two chains, run as the two replicas of one
+    raster batch: flat starts low and top (ints or (L, L) grids) inside
+    boundary, sweeps start, ..., start + n_sweeps - 1 of seed's stream under
+    the params' floor and ceiling. after(lo, hi), if given, is called with
+    both (L, L) interior views after each sweep. Returns the (2, L+2, L+2)
+    grid."""
+    grid = np.stack([SurfaceConfig.flat(L, v, boundary).padded() for v in (low, top)])
+    sweep = _Sweep(_kernel(params), grid.reshape(-1), L, 2, "raster",
+                   params.floor_spec, params.ceiling_spec)
+    us = UniformStream(seed, L * L)
+    lo, hi = grid[:, 1:L + 1, 1:L + 1]
+    for t in range(start, start + n_sweeps):
+        sweep(us.address(t))
+        if after is not None:
+            after(lo, hi)
+    return grid
+
+
 def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
                         high_value):
     """Burn-in validation by a monotone sandwich.
 
-    Couples a chain started flat at the floor when the floor is an integer
-    (at 0 otherwise) with one started flat at high_value, capped at the
-    lowest ceiling; reports the per-sweep mean gap. Agreement of the
-    two ends bounds the distance to equilibrium for monotone observables.
+    Couples a chain started flat as sample_equilibrium's (_flat_start) with
+    one started flat at high_value, capped at the lowest ceiling; reports
+    the per-sweep mean gap and the first sweep at which it is 0 (None if it
+    never is). Agreement of the two ends bounds the distance to equilibrium
+    for monotone observables. A top start below the bottom one raises
+    InvalidConstraintError.
     """
-    floor = params.floor_spec
-    base = int(floor) if isinstance(floor, (int, np.integer)) else 0
-    lo = SurfaceConfig.flat(L, value=base, boundary=boundary, floor=floor,
-                            ceiling=params.ceiling_spec)
-    hi_ceiling = params.ceiling_spec
-    hi_start = high_value if hi_ceiling is None else min(high_value, int(np.min(bound_grid(hi_ceiling, L))))
-    hi = SurfaceConfig.flat(L, value=hi_start, boundary=boundary, floor=floor,
-                            ceiling=params.ceiling_spec)
-    slo = ChainState(config=lo, seed=seed)
-    shi = ChainState(config=hi, seed=seed)
-    _check_coupling(slo, shi)
-    sums = []
-    for state in (slo, shi):
-        trace = []
-        run_chain(state, params, sweeps,
-                  on_sweep=lambda k, heights: trace.append(int(heights.sum())))
-        sums.append(trace)
-    gaps = [(up - low) / (L * L) for low, up in zip(*sums)]
-    return {"gap_trace": np.asarray(gaps), "coalesced_at": _first_zero(gaps)}
+    low, top = _flat_start(params), high_value
+    if params.ceiling_spec is not None:
+        top = min(top, int(np.min(params.ceiling_spec)))
+    if top < low:
+        raise InvalidConstraintError(f"sandwich top {top} below its bottom {low}")
+    gaps = []
+    _pair(params, L, boundary, low, top, seed, 0, sweeps,
+          lambda lo, hi: gaps.append((int(hi.sum()) - int(lo.sum())) / (L * L)))
+    return {"gap_trace": np.asarray(gaps),
+            "coalesced_at": next((t + 1 for t, g in enumerate(gaps) if g == 0.0), None)}
 
 
-def _first_zero(gaps):
-    for i, g in enumerate(gaps):
-        if g == 0.0:
-            return i + 1
-    return None
+_CFTP_DOUBLINGS = 20
 
 
-def cftp_sample(params: ModelParams, L, seed, boundary, max_doublings=20):
-    """Coupling-from-the-past; only offered when a finite ceiling bounds the
-    state space above (the floor bounds it below)."""
-    if params.ceiling_spec is None:
-        raise InvalidConstraintError("CFTP requires a finite ceiling")
-    if params.floor_spec is None:
-        raise InvalidConstraintError("CFTP requires a floor")
-    T = 1
-    for _ in range(max_doublings):
-        lo_cfg = SurfaceConfig.flat(L, value=0, boundary=boundary,
-                                    floor=params.floor_spec, ceiling=params.ceiling_spec)
-        lo_cfg.heights[:, :] = bound_grid(params.floor_spec, L)
-        hi_cfg = SurfaceConfig.flat(L, value=0, boundary=boundary,
-                                    floor=params.floor_spec, ceiling=params.ceiling_spec)
-        hi_cfg.heights[:, :] = bound_grid(params.ceiling_spec, L)
-        slo = ChainState(config=lo_cfg, seed=seed)
-        shi = ChainState(config=hi_cfg, seed=seed)
-        # Sweep s in 0..T-1 of this attempt reuses the fixed randomness of
-        # absolute time -T + s, implemented as sweep index (max_T - T + s).
-        offset = (1 << max_doublings) - T
-        slo.sweep_count = shi.sweep_count = offset
-        monotone_coupled_sweep(slo, shi, params, n_sweeps=T)
-        if np.array_equal(slo.config.heights, shi.config.heights):
-            return slo.config
-        T *= 2
-    raise InvalidConstraintError(f"CFTP did not coalesce within 2^{max_doublings} sweeps")
+def cftp_sample(params: ModelParams, L, seed, boundary):
+    """Coupling-from-the-past (Propp & Wilson), only offered when a floor and
+    a finite ceiling bound the state space. Attempt T = 1, 2, 4, ... runs
+    the pair from the floor and the ceiling through the fixed randomness of
+    times -T, ..., -1, stored as sweeps 2^20 - T, ..., 2^20 - 1, and returns
+    their common state once they coalesce."""
+    if params.floor_spec is None or params.ceiling_spec is None:
+        raise InvalidConstraintError("CFTP requires a floor and a finite ceiling")
+    for k in range(_CFTP_DOUBLINGS):
+        T = 1 << k
+        lo, hi = _pair(params, L, boundary, params.floor_spec, params.ceiling_spec,
+                       seed, (1 << _CFTP_DOUBLINGS) - T, T)[:, 1:L + 1, 1:L + 1]
+        if np.array_equal(lo, hi):
+            return SurfaceConfig(L, lo.astype(np.int32), boundary,
+                                 params.floor_spec, params.ceiling_spec)
+    raise InvalidConstraintError(f"CFTP did not coalesce within 2^{_CFTP_DOUBLINGS} sweeps")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleError, StructureError
 from .stats import batch_means_ci
-from .surface import ModelParams, SurfaceConfig, build_boundary
+from .surface import ModelParams, SurfaceConfig
 from .mcmc import ChainState, run_chain
 
 
@@ -61,36 +61,32 @@ def estimate_height_prob(params: ModelParams, box_size, samples, seed,
     if samples < 1 or thinning < 1 or burn_in < 0:
         raise StructureError("need samples >= 1, thinning >= 1 and burn_in >= 0")
     run_params = ModelParams(p=params.p, beta=params.beta)
-    boundary = build_boundary(("all", 0), box_size)
-    cfg = SurfaceConfig.flat(box_size, boundary=boundary)
-    state = ChainState(config=cfg, seed=seed, scan_order="checkerboard")
+    state = ChainState(config=SurfaceConfig.flat(box_size), seed=seed,
+                       scan_order="checkerboard")
     d = max(1, box_size // 6)
-    run_chain(state, run_params, burn_in)
     per_sweep = []
 
     def on_sweep(t, heights):
-        if (t - burn_in) % thinning != 0 or len(per_sweep) >= samples:
-            return
-        per_sweep.append(np.unique(heights[d:box_size - d, d:box_size - d],
-                                   return_counts=True))
+        if t > burn_in and (t - burn_in) % thinning == 0:
+            per_sweep.append(np.unique(heights[d:box_size - d, d:box_size - d],
+                                       return_counts=True))
 
-    run_chain(state, run_params, samples * thinning, on_sweep=on_sweep)
-    k = len(per_sweep)
+    run_chain(state, run_params, burn_in + samples * thinning, on_sweep=on_sweep)
     values = sorted({int(v) for vals, _ in per_sweep for v in vals.tolist()})
     column = {v: j for j, v in enumerate(values)}
-    counts = np.zeros((k, len(values)))
+    counts = np.zeros((samples, len(values)))
     for i, (vals, cnt) in enumerate(per_sweep):
         counts[i, [column[v] for v in vals.tolist()]] = cnt
     n_window = (box_size - 2 * d) ** 2
     probs, ci, hits, warnings = {}, {}, {}, []
     for v, j in column.items():
         hits[v] = int(counts[:, j].sum())
-        probs[v] = hits[v] / (k * n_window)
+        probs[v] = hits[v] / (samples * n_window)
         ci[v] = batch_means_ci(counts[:, j] / n_window)[1]
         if hits[v] < 25:
             warnings.append(f"height {v}: only {hits[v]} hits, CI unreliable")
     return HeightHistogram(p=params.p, beta=params.beta, box_size=box_size,
-                           probs=probs, n_samples=k, ci_half=ci,
+                           probs=probs, n_samples=samples, ci_half=ci,
                            warnings=warnings, margin=d, hits=hits, seed=seed)
 
 
@@ -103,6 +99,7 @@ class ScaleTable:
     bad_intervals: list          # merged [(lo, hi)] integer intervals
     L_in_bad_set: bool
     threshold: float
+    unseen_bound: float = None   # 3/n_samples, when it certified height H + 1
 
 
 def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
@@ -110,11 +107,17 @@ def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
     and the exceptional set union of [ceil(3 L_h / 4), L_h].
 
     hist may be a HeightHistogram (beta read from it) or a plain {h: prob}
-    dict with beta passed explicitly.
+    dict with beta passed explicitly. If the top recorded height is still
+    above the threshold, a histogram of n sampled sweeps bounds the next,
+    unseen height's probability by 3/n (zero window hits in n independent
+    sweeps) and counts it as below the threshold when the bound is; else,
+    and always for a dict, InfeasibleError.
     """
+    unseen_bound = None
     if isinstance(hist, HeightHistogram):
         probs = hist.probs
         beta = hist.beta if beta is None else beta
+        unseen_bound = 3.0 / hist.n_samples
     else:
         probs = {int(h): float(p) for h, p in hist.items()}
         if beta is None:
@@ -125,10 +128,13 @@ def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
         raise InfeasibleError(f"no height reaches the threshold {thr:.3g}")
     H = max(eligible)
     hmax = max(probs)
-    if probs.get(hmax, 0.0) >= thr:
+    if probs[hmax] < thr:
+        unseen_bound = None
+    elif unseen_bound is None or unseen_bound >= thr:
         raise InfeasibleError(
             f"histogram truncated too aggressively: height {hmax + 1} missing "
-            f"but P({hmax}) is still above the threshold")
+            f"but P({hmax}) is still above the threshold {thr:.3g}; a histogram "
+            f"needs {math.floor(3 / thr) + 1} sampled sweeps to bound it below that")
     N = []
     for n in range(m):
         ph = probs.get(H - n, 0.0)
@@ -141,7 +147,8 @@ def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
     bad = _merge_intervals(raw)
     in_bad = any(lo <= L <= hi for lo, hi in bad)
     return ScaleTable(L=L, H=H, N=N, L_h=L_h, bad_intervals=bad,
-                      L_in_bad_set=in_bad, threshold=thr)
+                      L_in_bad_set=in_bad, threshold=thr,
+                      unseen_bound=unseen_bound)
 
 
 def _merge_intervals(intervals):

@@ -116,6 +116,12 @@ def test_density_normalization_and_prefactor():
                                                 rel=1e-10)
 
 
+def test_fs_model_takes_only_sigma():
+    # every other field is computed from sigma, so none can be passed in
+    with pytest.raises(TypeError):
+        FSModel(sigma=1.0, x_max=5.0)
+
+
 def test_density_argmax_formula():
     m = FSModel(sigma=1.3)
     xs = np.linspace(1e-4, m.x_max, 40000)

@@ -259,6 +259,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         "[model] floor", "[model] boundary",
                                         "'split-arc:top'"))
 
+    # a floor above the ceiling -> infeasible, also before the out dir is made
+    crossed = tmp_path / "crossed.cfg"
+    crossed.write_text("[model]\nfloor = 3\nceiling = 1\n")
+    assert main(["simulate", "--config", str(crossed), "--out", str(tmp_path / "z")]) == 3
+    assert not (tmp_path / "z").exists()
+    assert "[model] floor 3 above ceiling 1" in capsys.readouterr().err
+
 
 def test_cli_rw_oracle_laplace_law(tmp_path):
     out = tmp_path / "rwout"
@@ -325,15 +332,16 @@ def test_cli_readme_endtoend_config_exits_zero(tmp_path, monkeypatch):
     assert rec["ks_by_level"]["0"] is not None
 
 
-def test_cli_ordering_error_exits_3(tmp_path, monkeypatch, capsys):
-    from zgff.errors import OrderingError
-
-    def unordered(cfg, out_dir=None):
-        raise OrderingError("lower heights exceed upper heights")
-
-    monkeypatch.setattr("zgff.experiments.run_pipeline", unordered)
-    assert main(["simulate", "--out", str(tmp_path / "o")]) == 3
-    assert "lower heights exceed upper heights" in capsys.readouterr().err
+def test_cli_scales_certifies_an_unseen_height(tmp_path):
+    # at beta = 1.3, L = 1024 the 2000-sweep histogram never shows height 2
+    # while P(1) is above 5 beta / L; the zero-hit bound 3/2000 certifies H = 1
+    out = tmp_path / "sc"
+    assert main(["scales", "--beta", "1.3", "--L", "1024", "--seed", "1",
+                 "--out", str(out)]) == 0
+    rec = json.loads((out / "scales.json").read_text())
+    assert (rec["H"], rec["unseen_bound"], rec["n_samples"]) == (1, 0.0015, 2000)
+    assert "2" not in rec["hits"]
+    assert rec["hits"]["1"] / (2000 * 32 * 32) >= rec["threshold"] > 0.0015
 
 
 def test_scales_pipeline_records_bulk_window(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 
 from oracles import box_center_marginal_exact, gibbs_2x2_exact
 from zgff import mcmc
-from zgff.errors import InvalidConstraintError, OrderingError, StructureError
+from zgff.errors import InvalidConstraintError, StructureError
 from zgff.mcmc import (ChainState, UniformStream, cftp_sample, coupled_batch_run,
-                       monotone_coupled_sweep, run_chain, sample_equilibrium,
-                       sandwich_diagnostic)
+                       run_chain, sample_equilibrium, sandwich_diagnostic)
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
                           local_conditional)
 
@@ -19,7 +18,6 @@ def test_uniform_stream_deterministic_and_chain_keyed():
     u2 = UniformStream(9, 8).sweep(17)
     assert np.array_equal(u1, u2)
     assert not np.array_equal(u1, UniformStream(9, 8).sweep(18))
-    assert not np.array_equal(u1, UniformStream(9, 8, chain=1).sweep(17))
 
 
 def test_detailed_balance_of_conditional():
@@ -80,25 +78,6 @@ def test_gibbs_exactness_2x2_short():
     assert tv < 0.03
 
 
-def test_monotone_coupled_sweep_identical_inputs():
-    params = ModelParams(p=2, beta=1.0, floor_spec=0)
-    lo = ChainState(config=SurfaceConfig.flat(3, floor=0), seed=5)
-    up = ChainState(config=SurfaceConfig.flat(3, floor=0), seed=5)
-    monotone_coupled_sweep(lo, up, params)
-    assert np.array_equal(lo.config.heights, up.config.heights)
-
-
-def test_monotone_coupled_sweep_precondition():
-    params = ModelParams(p=2, beta=1.0)
-    # unordered heights, then ordered pairs that would read different uniforms
-    for value, extra in ((0, {}), (1, {"chain_id": 1}),
-                         (1, {"scan_order": "checkerboard"})):
-        lo = ChainState(config=SurfaceConfig.flat(3, value=1), seed=5)
-        up = ChainState(config=SurfaceConfig.flat(3, value=value), seed=5, **extra)
-        with pytest.raises(OrderingError):
-            monotone_coupled_sweep(lo, up, params)
-
-
 def test_conditional_cdf_dominance():
     # stochastic dominance of conditionals under raised neighbors/bounds: the
     # oracle behind order preservation
@@ -127,23 +106,6 @@ def test_ceiling_raised_dominance():
         c_lo += d_lo.prob(k)
         c_up += d_up.prob(k)
         assert c_up <= c_lo + 1e-12
-
-
-def test_coupled_pairs_stay_ordered_scalar():
-    rng = np.random.default_rng(11)
-    params = ModelParams(p=2, beta=1.0)
-    for trial in range(25):
-        base = rng.integers(-2, 2, size=(3, 3))
-        lift = rng.integers(0, 2, size=(3, 3))
-        blo = {s: int(rng.integers(-1, 1)) for s in build_boundary(("all", 0), 3)}
-        bup = {s: v + int(rng.integers(0, 2)) for s, v in blo.items()}
-        lo_cfg = SurfaceConfig(3, base.astype(np.int32), blo)
-        up_cfg = SurfaceConfig(3, (base + lift).astype(np.int32), bup)
-        lo = ChainState(config=lo_cfg, seed=100 + trial)
-        up = ChainState(config=up_cfg, seed=100 + trial)
-        for _ in range(20):
-            monotone_coupled_sweep(lo, up, params)
-            assert np.all(lo.config.heights <= up.config.heights)
 
 
 def test_coupled_batch_matches_scalar_contract():
@@ -231,6 +193,17 @@ def test_sandwich_diagnostic_contracts():
     gaps = rep["gap_trace"]
     assert gaps[0] > 0
     assert gaps[-50:].mean() < 0.05 * gaps[0]
+
+
+def test_sandwich_top_below_the_floor_is_refused():
+    # the top start (high_value, capped at the ceiling) below the bottom one
+    # (the floor) could not bound the pair from above
+    boundary = build_boundary(("all", 0), 3)
+    for floor, ceiling, high in ((2, None, 1), (0, 3, -1), (1, 5, 0)):
+        params = ModelParams(p=2, beta=1.0, floor_spec=floor, ceiling_spec=ceiling)
+        with pytest.raises(InvalidConstraintError):
+            sandwich_diagnostic(params, 3, 10, seed=1, boundary=boundary,
+                                high_value=high)
 
 
 def test_cftp_requires_ceiling_and_matches_gibbs():
@@ -561,44 +534,39 @@ def test_uniform_on_a_cdf_value_draws_the_next_support_point(p):
             assert _one_site_draws(kernel, nb, u, lo, hi) == d.support[1:], (nb, lo, hi)
 
 
-def test_uniform_streams_share_blocks_without_mixing_them(monkeypatch):
-    # streams of one key and length reuse the last block loaded; each sweep
-    # still reads the Philox block of its own (key, block id)
-    def reference(seed, chain, n, t):
+def test_uniform_streams_share_blocks_without_mixing_them():
+    # each sweep reads the Philox block of its own (seed, block id), whatever
+    # the stream read before it
+    def reference(seed, n, t):
         block_sweeps = max(1, (1 << 16) // n)
         g, r = divmod(t, block_sweeps)
         gen = np.random.Generator(np.random.Philox(
-            key=np.array([seed, chain], dtype=np.uint64),
+            key=np.array([seed, 0], dtype=np.uint64),
             counter=np.array([0, 0, 0, g], dtype=np.uint64)))
         return gen.random(block_sweeps * n)[r * n:(r + 1) * n]
 
-    loads = []
-    load = UniformStream._load
-    monkeypatch.setattr(UniformStream, "_load",
-                        lambda self, g: loads.append(g) or load(self, g))
-    reads = [(5, 0, 16, 0), (5, 0, 16, 4096), (5, 0, 16, 1), (5, 1, 16, 2),
-             (5, 0, 16, 4097), (5, 0, 9, 3), (6, 0, 16, 4098)]
-    for seed, chain, n, t in reads:
-        u = UniformStream(seed, n, chain=chain).sweep(t)
-        assert np.array_equal(u, reference(seed, chain, n, t)), (seed, chain, n, t)
-    # the third read reloads block 0, the fifth reuses block 1 of the second
-    assert loads == [0, 1, 0, 0, 1, 0, 1]
-    u = UniformStream(6, 16).sweep(4099)
-    assert loads[-1] == 1 and len(loads) == 7
-    assert np.array_equal(u, reference(6, 0, 16, 4099))
+    reads = [(5, 16, 0), (5, 16, 4096), (5, 16, 1), (5, 16, 2), (5, 16, 4097),
+             (5, 9, 3), (6, 16, 4098), (6, 16, 4099)]
+    us = UniformStream(5, 16)
+    for seed, n, t in reads:
+        u = UniformStream(seed, n).sweep(t)
+        assert np.array_equal(u, reference(seed, n, t)), (seed, n, t)
+        if (seed, n) == (5, 16):
+            assert np.array_equal(us.sweep(t), u), t
 
 
 def test_uniform_stream_refills_one_buffer_past_the_block_target():
-    # a sweep longer than _BLOCK_TARGET is a block of its own, never shared,
-    # so the stream generates every sweep into the same buffer
-    n = mcmc._BLOCK_TARGET + 7
-    us = UniformStream(8, n, chain=2)
-    assert us.block_sweeps == 1
-    address = us.address(0)
-    for t in (0, 1, 2, 5, 3):
-        u = us.sweep(t)
-        assert us.address(t) == address
-        assert np.array_equal(u, UniformStream(8, n, chain=2).sweep(t)), t
+    # a stream generates every block into the buffer it was made with: one
+    # sweep per block past _BLOCK_TARGET, 4096 sweeps of 16 below it
+    for n, sweeps in ((mcmc._BLOCK_TARGET + 7, (0, 1, 2, 5, 3)),
+                      (16, (0, 4096, 1, 8192, 4097, 3))):
+        us = UniformStream(8, n)
+        assert us.block_sweeps == max(1, mcmc._BLOCK_TARGET // n)
+        address = us.address(0)
+        for t in sweeps:
+            u = us.sweep(t)
+            assert us.address(t) == address + 8 * n * (t % us.block_sweeps)
+            assert np.array_equal(u, UniformStream(8, n).sweep(t)), (n, t)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import box_center_marginal_exact
 from zgff.errors import InfeasibleError, StructureError
-from zgff.scales import (bad_set_log_density, compute_scales,
+from zgff.scales import (HeightHistogram, bad_set_log_density, compute_scales,
                          estimate_height_prob, ld_diagnostics, proxy_box_side)
 from zgff.surface import ModelParams
 
@@ -37,6 +37,33 @@ def test_compute_scales_outside_bad_set():
 def test_compute_scales_truncation_error_names_height():
     with pytest.raises(InfeasibleError, match="height 4"):
         compute_scales({1: 0.2, 2: 0.1, 3: 0.05}, L=1000, beta=1.0)
+
+
+def _histogram(probs, n_samples, beta=1.0):
+    return HeightHistogram(p=2.0, beta=beta, box_size=48, probs=probs,
+                           n_samples=n_samples)
+
+
+def test_unseen_height_certified_by_its_zero_hit_bound():
+    # P(3) = 0.05 is above 5 beta / L = 0.005 and height 4 was never seen: a
+    # histogram of 2000 sampled sweeps bounds P(4) by 3/2000 = 0.0015 and
+    # takes H = 3; the same probabilities as a dict stay refused
+    probs = {1: 0.2, 2: 0.1, 3: 0.05}
+    tab = compute_scales(_histogram(probs, 2000), L=1000)
+    assert (tab.H, tab.unseen_bound, tab.N) == (3, 0.0015, [20.0])
+    with pytest.raises(InfeasibleError, match="height 4 missing"):
+        compute_scales(probs, L=1000, beta=1.0)
+    # with height 4 seen, or the top height below the threshold, no bound
+    assert compute_scales(_histogram({**probs, 4: 0.001}, 2000), L=1000).unseen_bound is None
+    assert compute_scales(_histogram(WORKED, 10), L=1000).unseen_bound is None
+
+
+def test_unseen_height_bound_that_misses_the_threshold_names_the_sweeps():
+    # 3/500 = 0.006 does not clear 0.005; 601 sampled sweeps would
+    with pytest.raises(InfeasibleError, match="height 4 missing.* 601 sampled sweeps"):
+        compute_scales(_histogram({1: 0.2, 2: 0.1, 3: 0.05}, 500), L=1000)
+    assert compute_scales(_histogram({1: 0.2, 2: 0.1, 3: 0.05}, 601),
+                          L=1000).unseen_bound == 3 / 601
 
 
 def test_compute_scales_needs_probability_for_every_level():
