@@ -78,11 +78,11 @@ def airy_series(x):
     return ai.reshape(x.shape)[()], aip.reshape(x.shape)[()]
 
 
-def _asymptotic_coefficients(n_max=24):
-    """The u_k / v_k coefficients of the Poincare series, k < n_max."""
+def _asymptotic_coefficients():
+    """The u_k / v_k coefficients of the Poincare series, k < 24."""
     us, vs = [1.0], [1.0]
     u = 1.0
-    for k in range(1, n_max):
+    for k in range(1, 24):
         u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
         us.append(u)
         vs.append(u * (6 * k + 1) / (1 - 6 * k))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -77,12 +78,19 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None):
     cfg.validate()
     name = cfg.get("pipeline", "name")
     out_dir = out_dir or cfg.get("out", "dir")
+    made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     runner = {"surface": run_surface, "scales": run_scales, "fs": run_fs,
               "rw": run_rw_oracle, "tension": run_tension,
               "levellines": run_levellines, "endtoend": run_end_to_end}[name]
-    artifacts, summary = runner(cfg, out_dir)
+    try:
+        artifacts, summary = runner(cfg, out_dir)
+    except BaseException:
+        # a failed run leaves no directory it made
+        if made:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     manifest = RunManifest(config_hash=cfg.hash(), pipeline=name,
                            module_version=__version__,
                            wall_clock_s=time.time() - t0,
@@ -329,15 +337,15 @@ def height_fluctuation_exponent(levels_by_L):
     return float(coef[0])
 
 
-def fluctuation_scale(L, beta, p, n_snapshots, seed, thin=4, burn=80,
-                      warm_height=1):
+def fluctuation_scale(L, beta, p, n_snapshots, seed, warm_height=1):
     """Spread of the top level-1 line's lowest centre-column hit over
-    n_snapshots checkerboard snapshots at side L, started flat at
-    warm_height (0 is sample_equilibrium's default start)."""
+    n_snapshots checkerboard snapshots at side L, one every 4 sweeps after
+    80 burn-in sweeps, started flat at warm_height (0 is
+    sample_equilibrium's default start)."""
     params = ModelParams(p=p, beta=beta, floor_spec=0)
     init = SurfaceConfig.flat(L, value=warm_height, floor=0)
-    snaps, diag = sample_equilibrium(params, L, n_snapshots * thin + burn,
-                                     burn, thin, seed=seed, initial=init,
+    snaps, diag = sample_equilibrium(params, L, n_snapshots * 4 + 80, 80, 4,
+                                     seed=seed, initial=init,
                                      scan_order="checkerboard")
     rho0 = []
     for snap in snaps:

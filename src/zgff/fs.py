@@ -158,16 +158,14 @@ def ks_distance(samples, model: FSModel):
     return float(np.max(np.maximum(np.abs(F - up), np.abs(F - lo))))
 
 
-def zero_flux_residual(model: FSModel, x_lo=0.2, x_hi=None, n=200):
+def zero_flux_residual(model: FSModel):
     """Stationarity in reversible form: (sigma^2/2) rho'(x) = drift(x) rho(x).
 
-    Returns the max absolute residual over a grid, with rho' by central
-    differences; small residual certifies reversibility of the pair
-    (drift, density).
+    Returns the max absolute residual over 200 points of [0.2, 3 argmax],
+    with rho' by central differences; small residual certifies
+    reversibility of the pair (drift, density).
     """
-    if x_hi is None:
-        x_hi = model.argmax() * 3.0
-    xs = np.linspace(x_lo, x_hi, n)
+    xs = np.linspace(0.2, model.argmax() * 3.0, 200)
     h = 1e-5
     rp = (fs_density(xs + h, model) - fs_density(xs - h, model)) / (2 * h)
     resid = np.abs(0.5 * model.sigma ** 2 * rp - fs_drift(xs, model) * fs_density(xs, model))

@@ -135,10 +135,7 @@ def _forward_backward(spec):
     else:
         hi = max(spec.u[1], spec.v[1]) + int(np.abs(dys).max()) * W
     n_h = hi - lo + 1
-    if spec.tilt_N == math.inf:
-        site = np.ones(n_h)
-    else:
-        site = np.exp(-(np.arange(n_h)) / spec.tilt_N)
+    site = np.exp(-(np.arange(n_h)) / spec.tilt_N)
     fwd = np.zeros((W + 1, n_h))
     iu = spec.u[1] - lo
     iv = spec.v[1] - lo
@@ -212,8 +209,7 @@ def enumerate_bridge(spec: TiltedBridgeSpec):
             if y == spec.v[1]:
                 paths.append(list(path))
                 a = area + (y - spec.floor)
-                tilt = 0.0 if spec.tilt_N == math.inf else a / spec.tilt_N
-                weights.append(prob * math.exp(-tilt))
+                weights.append(prob * math.exp(-a / spec.tilt_N))
             path.pop()
             return
         for dy, p in zip(dys, probs):
@@ -260,7 +256,7 @@ def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     burn_in = 10 * W
     rng = np.random.default_rng(seed)
     y = _initial_path(spec, dys).tolist()
-    tilt = 0.0 if spec.tilt_N == math.inf else 1.0 / spec.tilt_N
+    tilt = 1.0 / spec.tilt_N
     # Metropolis ratio of moving a column by e between steps dl (left) and dr
     # (right); a move whose new steps leave the law's support is absent
     ratios = {(dl, dr, e): (pstep[dl + e] * pstep[dr - e]) / (pstep[dl] * pstep[dr])
@@ -331,8 +327,9 @@ def _initial_path(spec, dys):
     return y
 
 
-def fs_comparison(paths, N, sigma, ts=(0.0, -0.5, 0.5, 0.75), min_samples=200):
-    """KS of rescaled bridge marginals against the Ferrari-Spohn density.
+def fs_comparison(paths, N, sigma):
+    """KS of rescaled bridge marginals against the Ferrari-Spohn density at
+    t = 0, -0.5, 0.5 and 0.75, from at least 200 paths.
 
     paths: (n, W+1) heights of bridges of width W >= 6 N^(2/3) above a wall
     at 0; heights rescale by N^(-1/3) and positions by N^(2/3) around the
@@ -346,8 +343,8 @@ def fs_comparison(paths, N, sigma, ts=(0.0, -0.5, 0.5, 0.75), min_samples=200):
     """
     paths = np.asarray(paths)
     n, Wp1 = paths.shape
-    if n < min_samples:
-        raise DegenerateInputError(f"need at least {min_samples} paths")
+    if n < 200:
+        raise DegenerateInputError("need at least 200 paths")
     W = Wp1 - 1
     win = N ** (2.0 / 3.0)
     if W < 6 * win - 2:
@@ -356,7 +353,7 @@ def fs_comparison(paths, N, sigma, ts=(0.0, -0.5, 0.5, 0.75), min_samples=200):
     model = FSModel(sigma=sigma)
     scale = N ** (1.0 / 3.0)
     ks = {}
-    for t in ts:
+    for t in (0.0, -0.5, 0.5, 0.75):
         col = center + int(round(t * win))
         if not 0 <= col <= W:
             raise StructureError(f"t={t} outside the bridge")

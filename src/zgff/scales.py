@@ -110,8 +110,10 @@ def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
     dict with beta passed explicitly. If the top recorded height is still
     above the threshold, a histogram of n sampled sweeps bounds the next,
     unseen height's probability by 3/n (zero window hits in n independent
-    sweeps) and counts it as below the threshold when the bound is; else,
-    and always for a dict, InfeasibleError.
+    sweeps). That only gives L_{H+1} >= 5 beta n / 3, so the height is
+    certified when 3/n < 0.75 threshold, which keeps L out of its
+    exceptional interval [ceil(3 L_{H+1} / 4), L_{H+1}]; else, and always
+    for a dict, InfeasibleError.
     """
     unseen_bound = None
     if isinstance(hist, HeightHistogram):
@@ -128,13 +130,15 @@ def compute_scales(hist, L, m=1, beta=None) -> ScaleTable:
         raise InfeasibleError(f"no height reaches the threshold {thr:.3g}")
     H = max(eligible)
     hmax = max(probs)
+    certify = 0.75 * thr
     if probs[hmax] < thr:
         unseen_bound = None
-    elif unseen_bound is None or unseen_bound >= thr:
+    elif unseen_bound is None or unseen_bound >= certify:
         raise InfeasibleError(
             f"histogram truncated too aggressively: height {hmax + 1} missing "
             f"but P({hmax}) is still above the threshold {thr:.3g}; a histogram "
-            f"needs {math.floor(3 / thr) + 1} sampled sweeps to bound it below that")
+            f"needs {math.floor(3 / certify) + 1} sampled sweeps to bound it "
+            f"below 0.75 times that")
     N = []
     for n in range(m):
         ph = probs.get(H - n, 0.0)
@@ -161,18 +165,15 @@ def _merge_intervals(intervals):
     return out
 
 
-def bad_set_log_density(bad_intervals, n_grid=None):
-    """(sum_{k in B, k <= n} 1/k) / log n over a grid of n.
+def bad_set_log_density(bad_intervals):
+    """(sum_{k in B, k <= n} 1/k) / log n at each interval's right endpoint n.
 
-    Defaults to evaluating at the interval right endpoints. The zero
-    logarithmic density of the exceptional set shows up as this ratio
-    trending down when P(h) decays super-exponentially.
+    The zero logarithmic density of the exceptional set shows up as this
+    ratio trending down when P(h) decays super-exponentially.
     """
     if not bad_intervals:
         return [], []
-    if n_grid is None:
-        n_grid = [hi for _, hi in bad_intervals]
-    n_grid = sorted(n_grid)
+    n_grid = sorted(hi for _, hi in bad_intervals)
     ratios = []
     for n in n_grid:
         s = 0.0

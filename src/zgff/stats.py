@@ -20,8 +20,9 @@ def correlation(a, b):
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def integrated_autocorr_time(trace, max_lag=None):
-    """Integrated autocorrelation time via the initial-positive-sequence rule.
+def integrated_autocorr_time(trace):
+    """Integrated autocorrelation time via the initial-positive-sequence rule,
+    over lags below half the trace length.
 
     Returned in units of samples; 0.5 means effectively independent.
     """
@@ -33,10 +34,8 @@ def integrated_autocorr_time(trace, max_lag=None):
     var = np.dot(x, x) / n
     if var == 0:
         return 0.5
-    if max_lag is None:
-        max_lag = n // 2
     tau = 0.5
-    for k in range(1, max_lag):
+    for k in range(1, n // 2):
         rho = np.dot(x[:-k], x[k:]) / ((n - k) * var)
         if rho <= 0:
             break
@@ -75,12 +74,12 @@ def paired_bootstrap_corr_ci(a, b, n_boot=1000, level=0.95, block=1, seed=0):
     return correlation(a, b), (float(lo), float(hi))
 
 
-def batch_means_ci(samples, n_batches=16, z=1.96):
-    """Mean and CI half-width from batch means (for autocorrelated traces)."""
+def batch_means_ci(samples):
+    """Mean and 95% CI half-width (1.96 standard errors) from 16 batch means,
+    fewer for a trace under 32 samples (for autocorrelated traces)."""
     x = np.asarray(samples, dtype=float)
-    if x.size < 2 * n_batches:
-        n_batches = max(2, x.size // 2)
+    n_batches = 16 if x.size >= 32 else max(2, x.size // 2)
     m = x.size // n_batches
     means = x[: m * n_batches].reshape(n_batches, m).mean(axis=1)
     se = means.std(ddof=1) / np.sqrt(n_batches)
-    return float(x.mean()), float(z * se)
+    return float(x.mean()), float(1.96 * se)

@@ -24,10 +24,11 @@ from .errors import ConfigError, InvalidConstraintError, StructureError
 SNAPSHOT_MAGIC = b"ZGFFSNAP"
 SNAPSHOT_VERSION = 1
 
-# Per-direction stopping rule for conditional supports: stop extending once the
-# newly added weight falls below TRUNCATION_EPS times the running total. The
-# |grad phi|^p tails are super-exponential for p > 1 and exponential for p = 1,
-# so this guarantees total-variation error < 1e-12 per site update.
+# The one truncation rule of conditional_tables, applied upward then downward:
+# past the extreme neighbour, a side stops at the first weight below
+# TRUNCATION_EPS times the running total. The |grad phi|^p tails are
+# super-exponential for p > 1 and exponential for p = 1, so this guarantees
+# total-variation error < 1e-12 per site update.
 TRUNCATION_EPS = 1e-15
 
 SIDES = ("top", "right", "bottom", "left")
@@ -212,12 +213,10 @@ def _bound_at(b, x, y):
     return int(b)
 
 
-def bound_grid(b, L, missing=None):
+def bound_grid(b, L):
     """A floor or ceiling as an (L, L) grid: an array as it is, an integer
-    at every site, None as `missing` at every site."""
-    if isinstance(b, np.ndarray):
-        return b
-    return np.full((L, L), missing if b is None else int(b))
+    at every site."""
+    return b if isinstance(b, np.ndarray) else np.full((L, L), int(b))
 
 
 def energy(config: SurfaceConfig, params: ModelParams) -> float:
@@ -230,13 +229,7 @@ def energy(config: SurfaceConfig, params: ModelParams) -> float:
     # same for vertical pairs in interior columns. Ring-ring pairs never enter.
     dh = np.abs(np.diff(g[:, 1:L + 1], axis=0))
     dv = np.abs(np.diff(g[1:L + 1, :], axis=1))
-    if params.p == 2:
-        s = np.sum(dh * dh) + np.sum(dv * dv)
-    elif params.p == 1:
-        s = np.sum(dh) + np.sum(dv)
-    else:
-        s = np.sum(dh ** params.p) + np.sum(dv ** params.p)
-    return params.beta * float(s)
+    return params.beta * float(np.sum(dh ** params.p) + np.sum(dv ** params.p))
 
 
 class DiscreteDist:
@@ -259,42 +252,24 @@ class DiscreteDist:
         return self.support[bisect_right(self.cdf, u)]
 
 
-_COND_CACHE = {}
-_COND_CACHE_MAX = 1 << 20
-
-
 def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
-    """Cached core of local_conditional.
-
-    Returns (support0, probs, cdf, shift): the law of k - shift, so a draw is
-    support0[bisect_right(cdf, u)] + shift. Cache keys are translation
-    normalized (shift = smallest neighbor), exploiting the covariance of the
-    conditional under common shifts of neighbors and bounds.
-    """
+    """Core of local_conditional, uncached: (support0, probs, cdf, shift),
+    the law of k - shift, so a draw is support0[bisect_right(cdf, u)] + shift.
+    shift is the smallest neighbour, and the row depends only on the offsets
+    from it (the conditional is covariant under common shifts), so a caller
+    that keeps rows keys them by those offsets."""
     if floor is not None and ceiling is not None and floor > ceiling:
         raise InvalidConstraintError(f"floor {floor} > ceiling {ceiling}")
     n = sorted(int(v) for v in neighbors)
     if len(n) != 4:
         raise StructureError("exactly four neighbor heights required")
     shift = n[0]
-    key = (n[1] - shift, n[2] - shift, n[3] - shift,
-           None if floor is None else floor - shift,
-           None if ceiling is None else ceiling - shift,
-           params.p, params.beta)
-    hit = _COND_CACHE.get(key)
-    if hit is not None:
-        return hit[0], hit[1], hit[2], shift
-
     n0 = [v - shift for v in n]
     lo = None if floor is None else floor - shift
     hi = None if ceiling is None else ceiling - shift
     p, beta = params.p, params.beta
 
     def energy(k):
-        if p == 2:
-            return sum((k - v) * (k - v) for v in n0)
-        if p == 1:
-            return sum(abs(k - v) for v in n0)
         return sum(abs(k - v) ** p for v in n0)
 
     def clamp(k):
@@ -305,45 +280,35 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
         return k
 
     def grow(m, e0):
-        """Support, weights and total of the row grown from m, energies
-        measured from e0; None where the weights underflow: every one is 0,
-        or the truncation rule can never stop because, past an unbounded
-        extreme neighbour, the weight and TRUNCATION_EPS times the total
-        are both 0."""
+        """Support, weights and total of the row grown from m, up then down,
+        energies measured from e0; None where the weights underflow: every
+        one is 0, or the rule can never stop because, past an unbounded
+        extreme neighbour, the weight and TRUNCATION_EPS times the total are
+        both 0."""
         def w(k):
             return exp(-beta * (energy(k) - e0))
 
-        ks = [m]
-        ws = [w(m)]
-        total = ws[0]
-        # grow upward
-        k = m + 1
-        while hi is None or k <= hi:
-            wk = w(k)
-            if wk < TRUNCATION_EPS * total and k > n0[3]:
-                break
-            if hi is None and k > n0[3] and wk == TRUNCATION_EPS * total == 0.0:
-                return None
-            ks.append(k)
-            ws.append(wk)
-            total += wk
-            k += 1
-        # grow downward
-        k = m - 1
-        head_ks, head_ws = [], []
-        while lo is None or k >= lo:
-            wk = w(k)
-            if wk < TRUNCATION_EPS * total and k < n0[0]:
-                break
-            if lo is None and k < n0[0] and wk == TRUNCATION_EPS * total == 0.0:
-                return None
-            head_ks.append(k)
-            head_ws.append(wk)
-            total += wk
-            k -= 1
+        total = wm = w(m)
+        sides = []
+        for step, bound, extreme in ((1, hi, n0[3]), (-1, lo, n0[0])):
+            ks, ws = [], []
+            k = m + step
+            while bound is None or step * (bound - k) >= 0:
+                wk = w(k)
+                if step * (k - extreme) > 0:
+                    if wk < TRUNCATION_EPS * total:
+                        break
+                    if bound is None and wk == TRUNCATION_EPS * total == 0.0:
+                        return None
+                ks.append(k)
+                ws.append(wk)
+                total += wk
+                k += step
+            sides.append((ks, ws))
         if total == 0.0:
             return None
-        return head_ks[::-1] + ks, head_ws[::-1] + ws, total
+        (up_ks, up_ws), (down_ks, down_ws) = sides
+        return down_ks[::-1] + [m] + up_ks, down_ws[::-1] + [wm] + up_ws, total
 
     row = grow(clamp((n0[1] + n0[2]) // 2), 0)
     if row is None:
@@ -362,9 +327,6 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
         acc += x
         cdf.append(acc)
     cdf[-1] = 1.0
-    if len(_COND_CACHE) >= _COND_CACHE_MAX:
-        _COND_CACHE.clear()
-    _COND_CACHE[key] = (support, probs, cdf)
     return support, probs, cdf, shift
 
 

@@ -159,23 +159,17 @@ DEFAULT_DIRECTIONS = ((1, 0), (8, 1), (6, 1), (4, 1), (3, 1), (8, 3),
                       (2, 1), (5, 3), (4, 3), (8, 7), (1, 1))
 
 
-def tension_table(beta, directions=DEFAULT_DIRECTIONS, sizes=None):
+def tension_table(beta, directions=DEFAULT_DIRECTIONS):
     table = TensionTable(beta=beta)
     for d in directions:
-        table.entries.append(estimate_tension(beta, d, sizes=sizes))
+        table.entries.append(estimate_tension(beta, d))
     return table
 
 
-def finite_size_drift(beta, direction=(1, 0), sizes=range(4, 65, 4)):
-    """The sequence log Z + tau*l1 + 0.5 log M over the enumerated range,
-    with tau_l1 from the closed form; its spread being O(1)-bounded is the
+def finite_size_drift(beta, sizes=range(4, 65, 4)):
+    """The sequence log Z + tau M + 0.5 log M along the axis, M over sizes,
+    with tau from the closed form; its spread being O(1)-bounded is the
     finite-size invariant."""
-    q, r = direction
-    theta = math.atan2(r, q)
-    tau_l1 = tension_closed_form(beta, theta) / (math.cos(theta) + math.sin(theta))
-    seq = []
-    for k in sizes:
-        M, Y = q * k, r * k
-        seq.append(log_partition_directed(M, Y, beta)
-                   + tau_l1 * (M + abs(Y)) + 0.5 * math.log(M))
-    return np.asarray(seq)
+    tau = tension_closed_form(beta, 0.0)
+    return np.asarray([log_partition_directed(M, 0, beta) + tau * M
+                       + 0.5 * math.log(M) for M in sizes])

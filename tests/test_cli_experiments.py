@@ -266,6 +266,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
     assert "[model] floor 3 above ceiling 1" in capsys.readouterr().err
 
+    # a runner that fails removes the out dir it made, not one that existed
+    assert main(["scales", "--beta", "0.9", "--L", "100000",
+                 "--out", str(tmp_path / "fo")]) == 3
+    assert not (tmp_path / "fo").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["tension", "--beta", "0.5", "--out", str(kept)]) == 3
+    assert kept.is_dir()
+
 
 def test_cli_rw_oracle_laplace_law(tmp_path):
     out = tmp_path / "rwout"

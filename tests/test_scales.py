@@ -59,11 +59,14 @@ def test_unseen_height_certified_by_its_zero_hit_bound():
 
 
 def test_unseen_height_bound_that_misses_the_threshold_names_the_sweeps():
-    # 3/500 = 0.006 does not clear 0.005; 601 sampled sweeps would
-    with pytest.raises(InfeasibleError, match="height 4 missing.* 601 sampled sweeps"):
-        compute_scales(_histogram({1: 0.2, 2: 0.1, 3: 0.05}, 500), L=1000)
-    assert compute_scales(_histogram({1: 0.2, 2: 0.1, 3: 0.05}, 601),
-                          L=1000).unseen_bound == 3 / 601
+    # the bound must clear 0.75 times the threshold 0.005 = 0.00375, which
+    # keeps L = 1000 out of height 4's exceptional interval: 3/601 clears
+    # the threshold but not that, 3/800 ties it, 801 sampled sweeps would
+    probs = {1: 0.2, 2: 0.1, 3: 0.05}
+    for n in (500, 601, 800):
+        with pytest.raises(InfeasibleError, match="height 4 missing.* 801 sampled sweeps"):
+            compute_scales(_histogram(probs, n), L=1000)
+    assert compute_scales(_histogram(probs, 801), L=1000).unseen_bound == 3 / 801
 
 
 def test_compute_scales_needs_probability_for_every_level():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +159,25 @@ def test_conditional_far_from_bound_or_spread_neighbours():
     for k in (1, 2, 3):
         de = (k + 60) ** 1.5 - 60 ** 1.5 + 3 * ((5 - k) ** 1.5 - 5 ** 1.5)
         assert d.prob(k) / d.prob(0) == pytest.approx(math.exp(-2.5 * de), rel=1e-9)
+
+
+def test_conditional_rows_are_pinned():
+    # every row of a fixed grid, bit for bit (a float's repr is exact): both
+    # sides bounded and unbounded, integer and float p, and bounds far
+    # enough from the neighbours that the weights underflow at their median
+    # (half of the 420 rows take the least-energy fallback)
+    digest = hashlib.sha256()
+    for p in (1, 1.5, 2, 3.0):
+        for beta in (0.3, 1.3, 6.0):
+            params = ModelParams(p=p, beta=beta)
+            for nb in ((0, 0, 0, 0), (0, 1, 1, 2), (-3, 0, 2, 5),
+                       (0, 0, 30, 30), (-60, 5, 5, 5)):
+                for floor, ceiling in ((None, None), (0, None), (None, 1), (-2, 3),
+                                       (40, None), (None, -300), (200, 260)):
+                    row = conditional_tables(nb, floor, ceiling, params)
+                    digest.update(repr(row).encode())
+    assert digest.hexdigest() == (
+        "ec680f003e375f107b79cb859c94a79c1570f3bb11ee3bed8dbfaa17d438eb0b")
 
 
 def test_conditional_quantile_monotone():
