@@ -71,7 +71,7 @@ def main(argv=None):
         cfg = _load_config(args)
         cfg.validate()
         from .experiments import run_pipeline
-        manifest = run_pipeline(cfg, out_dir=cfg.get("out", "dir"))
+        manifest = run_pipeline(cfg)
     except (ConfigError, StructureError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

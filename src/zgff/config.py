@@ -96,11 +96,12 @@ class ExperimentConfig:
         model_params_from(self)
         return self
 
-    def canonical_text(self, exclude=()):
+    def canonical_text(self):
+        """Every section but [out] as sorted key = value lines. The output
+        directory is provenance-neutral: replays into another directory
+        must reproduce the same stamped hash."""
         lines = []
-        for section in sorted(self.sections):
-            if section in exclude:
-                continue
+        for section in sorted(self.sections.keys() - {"out"}):
             lines.append(f"[{section}]")
             for k in sorted(self.sections[section]):
                 v = self.sections[section][k]
@@ -109,10 +110,7 @@ class ExperimentConfig:
         return "\n".join(lines)
 
     def hash(self):
-        # the output directory is provenance-neutral: replays into another
-        # directory must reproduce the same stamped hash
-        return hashlib.sha256(
-            self.canonical_text(exclude=("out",)).encode()).hexdigest()[:16]
+        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
 def _fmt(v):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, RunManifest, model_params_from
-from .errors import DegenerateInputError, InfeasibleError
+from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
 from .levellines import (extract_level_lines, loops_to_records, profile,
                          top_level_loop)
@@ -74,22 +74,29 @@ def _increment_law(cfg):
     return laplace_increment_law(cfg.get("model", "beta"))
 
 
-def run_pipeline(cfg: ExperimentConfig, out_dir=None):
+def run_pipeline(cfg: ExperimentConfig):
+    """Run the config's pipeline into its [out] dir. An out dir that cannot be
+    made is a ConfigError; a failed run removes every directory it made."""
     cfg.validate()
     name = cfg.get("pipeline", "name")
-    out_dir = out_dir or cfg.get("out", "dir")
-    made = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
+    out_dir = cfg.get("out", "dir")
     runner = {"surface": run_surface, "scales": run_scales, "fs": run_fs,
               "rw": run_rw_oracle, "tension": run_tension,
               "levellines": run_levellines, "endtoend": run_end_to_end}[name]
+    made, path = None, os.path.abspath(out_dir)   # the outermost dir to make
+    while not os.path.lexists(path):
+        made, path = path, os.path.dirname(path)
+    t0 = time.time()
     try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot make the out dir {out_dir!r}: "
+                              f"{e.strerror or e}") from None
         artifacts, summary = runner(cfg, out_dir)
     except BaseException:
-        # a failed run leaves no directory it made
-        if made:
-            shutil.rmtree(out_dir, ignore_errors=True)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         raise
     manifest = RunManifest(config_hash=cfg.hash(), pipeline=name,
                            module_version=__version__,

@@ -221,19 +221,17 @@ def enclosed_region(config: SurfaceConfig, h):
     return set(zip(xs.tolist(), bs.tolist()))
 
 
-def nesting_report(config: SurfaceConfig, h_max=None):
-    """Per level: loop counts, macroscopic counts and uniqueness, and the
-    area of the top loop (top_level_loop; a level without one gets no
-    top_area); plus whether the top loops of consecutive levels are nested
-    by containment.
+def nesting_report(config: SurfaceConfig):
+    """Per level 0, ..., top height + 2: loop counts, macroscopic counts and
+    uniqueness, and the area of the top loop (top_level_loop; a level
+    without one gets no top_area); plus whether the top loops of
+    consecutive levels are nested by containment.
 
     Violations are reported, not fatal.
     """
-    if h_max is None:
-        h_max = int(config.heights.max()) + 1
     per_level = []
     top_loops = {}
-    for h in range(0, h_max + 2):
+    for h in range(0, int(config.heights.max()) + 3):
         loops = extract_level_lines(config, h)
         n_macro = sum(lp.macroscopic for lp in loops)
         entry = {

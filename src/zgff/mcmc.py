@@ -419,22 +419,22 @@ def _flat_start(params):
     return int(floor) if isinstance(floor, (int, np.integer)) else 0
 
 
-def _pair(params, L, boundary, low, top, seed, start, n_sweeps, after=None):
+def _pair(params, L, boundary, low, top, seed, start, n_sweeps, on_sweep=None):
     """The monotone coupling of two chains, run as the two replicas of one
     raster batch: flat starts low and top (ints or (L, L) grids) inside
     boundary, sweeps start, ..., start + n_sweeps - 1 of seed's stream under
-    the params' floor and ceiling. after(lo, hi), if given, is called with
-    both (L, L) interior views after each sweep. Returns the (2, L+2, L+2)
-    grid."""
+    the params' floor and ceiling. on_sweep, if given, is called after each
+    sweep as on_sweep(sweep_count, heights), heights the (2, L, L) interior
+    view, [0] the low chain. Returns the (2, L+2, L+2) grid."""
     grid = np.stack([SurfaceConfig.flat(L, v, boundary).padded() for v in (low, top)])
     sweep = _Sweep(_kernel(params), grid.reshape(-1), L, 2, "raster",
                    params.floor_spec, params.ceiling_spec)
     us = UniformStream(seed, L * L)
-    lo, hi = grid[:, 1:L + 1, 1:L + 1]
+    heights = grid[:, 1:L + 1, 1:L + 1]
     for t in range(start, start + n_sweeps):
         sweep(us.address(t))
-        if after is not None:
-            after(lo, hi)
+        if on_sweep is not None:
+            on_sweep(t + 1, heights)
     return grid
 
 
@@ -456,7 +456,7 @@ def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
         raise InvalidConstraintError(f"sandwich top {top} below its bottom {low}")
     gaps = []
     _pair(params, L, boundary, low, top, seed, 0, sweeps,
-          lambda lo, hi: gaps.append((int(hi.sum()) - int(lo.sum())) / (L * L)))
+          lambda t, h: gaps.append((int(h[1].sum()) - int(h[0].sum())) / (L * L)))
     return {"gap_trace": np.asarray(gaps),
             "coalesced_at": next((t + 1 for t, g in enumerate(gaps) if g == 0.0), None)}
 

@@ -45,21 +45,22 @@ def proxy_box_side(L):
     return min(max(24, int(4 * math.log(L) ** 2)), 48)
 
 
-def estimate_height_prob(params: ModelParams, box_size, samples, seed,
-                         thinning=2, burn_in=None) -> HeightHistogram:
+def estimate_height_prob(params: ModelParams, box_size, samples,
+                         seed) -> HeightHistogram:
     """Height histogram of the no-floor measure with zero boundary on a
     box_size^2 box, pooled over every site of the bulk window
     [d, box_size-1-d]^2, d = max(1, box_size // 6): the proxy measure is
-    close to translation invariant away from the ring. n_samples counts the
-    sampled sweeps; CIs are batch means of the per-sweep window fractions.
+    close to translation invariant away from the ring. The chain burns in
+    max(50, box_size) sweeps, then samples every 2nd sweep; n_samples counts
+    the sampled sweeps, and zero of them is refused. CIs are batch means of
+    the per-sweep window fractions.
     """
     if box_size < 2 * math.log(max(box_size, 2)) ** 2:
         raise StructureError(f"box size {box_size} too small for the center "
                              "site to decorrelate from the boundary")
-    if burn_in is None:
-        burn_in = max(50, box_size)
-    if samples < 1 or thinning < 1 or burn_in < 0:
-        raise StructureError("need samples >= 1, thinning >= 1 and burn_in >= 0")
+    if samples < 1:
+        raise StructureError("need samples >= 1")
+    burn_in, thinning = max(50, box_size), 2
     run_params = ModelParams(p=params.p, beta=params.beta)
     state = ChainState(config=SurfaceConfig.flat(box_size), seed=seed,
                        scan_order="checkerboard")
@@ -196,20 +197,15 @@ def _harmonic(n):
     return math.log(n) + 0.5772156649015329 + 1.0 / (2 * n) - 1.0 / (12 * n * n)
 
 
-def ld_diagnostics(hist, p=None):
-    """Ratios P(h)/P(h-1), monotone-decay check, and a rate fit.
+def ld_diagnostics(hist: HeightHistogram):
+    """Ratios P(h)/P(h-1), monotone-decay check, and a rate fit, at the
+    histogram's p.
 
     For p = 2 the fit is log P(h) ~ -c * h^2/log h (h >= 2); otherwise
     log P(h) ~ -c * h^(min(p, 2)). Reports fit quality, asserts nothing.
     """
-    if isinstance(hist, HeightHistogram):
-        probs = {h: v for h, v in hist.probs.items() if h >= 0 and v > 0}
-        if p is None:
-            p = hist.p
-    else:
-        probs = {int(h): float(v) for h, v in hist.items() if v > 0 and int(h) >= 0}
-        if p is None:
-            p = 2.0
+    probs = {h: v for h, v in hist.probs.items() if h >= 0 and v > 0}
+    p = hist.p
     hs = sorted(probs)
     if len(hs) < 3:
         return {"status": "insufficient", "n_heights": len(hs)}

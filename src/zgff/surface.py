@@ -179,27 +179,6 @@ class SurfaceConfig:
             g[x + 1, y + 1] = v
         return g
 
-    def validate(self):
-        L = self.L
-        if self.heights.shape != (L, L):
-            raise StructureError(f"heights shape {self.heights.shape} != ({L}, {L})")
-        for s in ring_sites(L):
-            if s not in self.boundary:
-                raise StructureError(f"missing boundary value at {s}")
-        if self.floor is not None:
-            f = bound_grid(self.floor, L)
-            if np.any(self.heights < f):
-                raise StructureError("height below floor")
-        if self.ceiling is not None:
-            c = bound_grid(self.ceiling, L)
-            if np.any(self.heights > c):
-                raise StructureError("height above ceiling")
-        if self.floor is not None and self.ceiling is not None:
-            f, c = bound_grid(self.floor, L), bound_grid(self.ceiling, L)
-            if np.any(f > c):
-                raise InvalidConstraintError("floor above ceiling somewhere")
-        return True
-
 
 def _copy_bound(b):
     return b.copy() if isinstance(b, np.ndarray) else b
@@ -211,12 +190,6 @@ def _bound_at(b, x, y):
     if isinstance(b, np.ndarray):
         return int(b[x, y])
     return int(b)
-
-
-def bound_grid(b, L):
-    """A floor or ceiling as an (L, L) grid: an array as it is, an integer
-    at every site."""
-    return b if isinstance(b, np.ndarray) else np.full((L, L), int(b))
 
 
 def energy(config: SurfaceConfig, params: ModelParams) -> float:

@@ -115,22 +115,20 @@ def _fold_angle(theta):
     return th
 
 
-def estimate_tension(beta, direction, sizes=None):
+def estimate_tension(beta, direction):
     """Tension in one direction from the exact transfer, with a finite-size
     fit z_k = tau * l1_k + C + D / k (z_k = -log Z - 0.5 log M).
 
     direction: primitive integer (q, r) with 0 <= r <= q (fold first for
-    other angles). sizes: multiples k of the primitive step to evaluate.
+    other angles). The transfer runs k multiples of it, k from hi // 4
+    (at least 2) to hi = max(4, round(96 / q)) in steps of max(1, hi // 6):
+    3 to 10 sizes for every q, at least the three the fit needs.
     """
     q, r = direction
     if not (0 <= r <= q and q >= 1):
         raise StructureError("direction must satisfy 0 <= r <= q, q >= 1")
-    if sizes is None:
-        hi = max(4, int(round(96 / q)))
-        step = max(1, hi // 6)
-        sizes = tuple(range(max(2, hi // 4), hi + 1, step))
-    if len(sizes) < 3:
-        raise StructureError("need at least three sizes to extrapolate")
+    hi = max(4, int(round(96 / q)))
+    sizes = range(max(2, hi // 4), hi + 1, max(1, hi // 6))
     zs = []
     l1s = []
     for k in sizes:
@@ -159,17 +157,16 @@ DEFAULT_DIRECTIONS = ((1, 0), (8, 1), (6, 1), (4, 1), (3, 1), (8, 3),
                       (2, 1), (5, 3), (4, 3), (8, 7), (1, 1))
 
 
-def tension_table(beta, directions=DEFAULT_DIRECTIONS):
-    table = TensionTable(beta=beta)
-    for d in directions:
-        table.entries.append(estimate_tension(beta, d))
-    return table
+def tension_table(beta):
+    """estimate_tension at beta in each of DEFAULT_DIRECTIONS."""
+    return TensionTable(beta=beta, entries=[estimate_tension(beta, d)
+                                            for d in DEFAULT_DIRECTIONS])
 
 
-def finite_size_drift(beta, sizes=range(4, 65, 4)):
-    """The sequence log Z + tau M + 0.5 log M along the axis, M over sizes,
-    with tau from the closed form; its spread being O(1)-bounded is the
+def finite_size_drift(beta):
+    """The sequence log Z + tau M + 0.5 log M along the axis, M = 4, 8, ...,
+    64, with tau from the closed form; its spread being O(1)-bounded is the
     finite-size invariant."""
     tau = tension_closed_form(beta, 0.0)
     return np.asarray([log_partition_directed(M, 0, beta) + tau * M
-                       + 0.5 * math.log(M) for M in sizes])
+                       + 0.5 * math.log(M) for M in range(4, 65, 4)])

@@ -231,7 +231,7 @@ def test_criterion_7_surface_tension_sanity():
     r6, r8 = e6.tau / 6.0, e8.tau / 8.0
     assert abs(r6 - r8) < 0.05 * r8
     assert abs(r8 - 1.0) < 0.05
-    seq = finite_size_drift(6.0, sizes=range(4, 65, 4))
+    seq = finite_size_drift(6.0)
     spread = float(seq.max() - seq.min())
     assert spread < 2.0
     _report(7, f"tau symmetry within CI; tau(0)/beta: {r6:.4f} vs {r8:.4f}; "

@@ -16,7 +16,7 @@ from zgff.mcmc import sample_equilibrium
 from zgff.rw import laplace_increment_law
 from zgff.scales import ScaleTable, estimate_height_prob
 from zgff.surface import SurfaceConfig, read_snapshot
-from zgff.tension import tension_table
+from zgff.tension import estimate_tension
 
 
 def _plateau_snapshots(L, n, lo=2, hi=None):
@@ -274,6 +274,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     kept.mkdir()
     assert main(["tension", "--beta", "0.5", "--out", str(kept)]) == 3
     assert kept.is_dir()
+    # ... and every parent directory it made for it
+    assert main(["tension", "--beta", "0.5",
+                 "--out", str(tmp_path / "np" / "fo")]) == 3
+    assert not (tmp_path / "np").exists()
+
+    # an out path through a regular file -> config error naming it, and
+    # nothing is created
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    capsys.readouterr()
+    for out in (afile, afile / "sub"):
+        assert main(["tension", "--beta", "1.3", "--out", str(out)]) == 2
+        assert f"out dir {str(out)!r}" in capsys.readouterr().err
+    assert afile.is_file() and afile.read_text() == ""
 
 
 def test_cli_rw_oracle_laplace_law(tmp_path):
@@ -393,7 +407,7 @@ def test_cli_tension_runs_at_the_model_beta(tmp_path, capsys):
     # the axis row is the transfer estimate at beta = 3, not at another beta
     theta, tau = (out / "tension.csv").read_text().splitlines()[2].split(",")[:2]
     assert float(theta) == 0.0
-    assert float(tau) == tension_table(3.0, directions=((1, 0),)).entries[0].tau
+    assert float(tau) == estimate_tension(3.0, (1, 0)).tau
     # at beta = 1.3 every row's estimate lies within its CI of the closed
     # form, and the summary carries the Laplace walk's sigma^2
     mid = tmp_path / "mid"

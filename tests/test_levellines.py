@@ -70,7 +70,7 @@ def test_pyramid_nested_loops():
 
 
 def test_flat_config_no_macroscopic_loops():
-    rep = nesting_report(SurfaceConfig.flat(8), h_max=3)
+    rep = nesting_report(SurfaceConfig.flat(8))
     assert all(e["n_macroscopic"] == 0 for e in rep["levels"] if e["level"] >= 1)
 
 
@@ -83,7 +83,7 @@ def test_two_pyramids_non_unique():
     offside = SurfaceConfig.flat(32)
     offside.heights[2:12, 4:28] = 1
     for c, counts in ((cfg, (2, 0)), (offside, (1, 1))):
-        lvl1 = nesting_report(c, h_max=1)["levels"][1]
+        lvl1 = nesting_report(c)["levels"][1]
         assert (lvl1["n_loops"], lvl1["n_macroscopic"]) == counts
         # no loop crosses the centre column, so the level has no top loop
         assert "top_area" not in lvl1

@@ -116,7 +116,7 @@ def test_bad_set_log_density_toy_table_not_monotone():
 
 def test_estimate_matches_exact_3x3_enumeration():
     params = ModelParams(p=2, beta=1.0)
-    hist = estimate_height_prob(params, 3, 4000, seed=2, thinning=3)
+    hist = estimate_height_prob(params, 3, 6000, seed=2)
     exact = box_center_marginal_exact(3, 1.0, 2.0, M=2)
     tv = 0.5 * sum(abs(hist.probs.get(h, 0.0) - p) for h, p in exact.items())
     assert tv < 0.02
@@ -125,7 +125,7 @@ def test_estimate_matches_exact_3x3_enumeration():
 
 def test_estimate_symmetry_within_ci():
     params = ModelParams(p=2, beta=0.9)
-    hist = estimate_height_prob(params, 3, 6000, seed=7, thinning=3)
+    hist = estimate_height_prob(params, 3, 9000, seed=7)
     for h in (1, 2):
         if h in hist.probs and -h in hist.probs:
             tol = 3 * (hist.ci_half.get(h, 0) + hist.ci_half.get(-h, 0)) + 1e-9
@@ -149,14 +149,9 @@ def test_estimate_box_too_small_raises():
 
 
 def test_estimate_rejects_starved_runs():
-    # no sampled sweep, or a negative burn-in, is an error, not an empty
-    # histogram
-    params = ModelParams(p=2.0, beta=0.8)
-    for samples, thinning, burn_in in ((5, 0, None), (5, -1, None),
-                                       (0, 1, None), (5, 1, -5)):
-        with pytest.raises(StructureError):
-            estimate_height_prob(params, 24, samples, 1, thinning=thinning,
-                                 burn_in=burn_in)
+    # no sampled sweep is an error, not an empty histogram
+    with pytest.raises(StructureError):
+        estimate_height_prob(ModelParams(p=2.0, beta=0.8), 24, 0, 1)
 
 
 def test_proxy_box_side_formula():
@@ -175,7 +170,8 @@ def test_estimate_warnings_on_sparse_heights():
 
 def test_ld_diagnostics_ratios_and_fit():
     exact = box_center_marginal_exact(3, 1.0, 2.0, M=3)
-    rep = ld_diagnostics(exact, p=2)
+    rep = ld_diagnostics(HeightHistogram(p=2, beta=1.0, box_size=3, probs=exact,
+                                         n_samples=1))
     assert rep["status"] == "ok"
     rvals = [rep["ratios"][h] for h in sorted(rep["ratios"])]
     assert all(a > b for a, b in zip(rvals, rvals[1:]))
@@ -192,12 +188,15 @@ def test_ld_diagnostics_sos_slope():
     ys = [math.log(exact[h]) for h in hs]
     slope = np.polyfit(hs, ys, 1)[0]
     assert abs(slope - (-4 * beta)) / (4 * beta) < 0.15
-    rep = ld_diagnostics(exact, p=1)
+    rep = ld_diagnostics(HeightHistogram(p=1, beta=1.0, box_size=3, probs=exact,
+                                         n_samples=1))
     assert rep["fit"]["x_form"] == "h^1"
     assert abs(rep["fit"]["rate"] - 4 * beta) / (4 * beta) < 0.15
 
 
 def test_ld_diagnostics_insufficient():
-    assert ld_diagnostics({0: 1.0}, p=2)["status"] == "insufficient"
-    assert ld_diagnostics({0: 0.9, 1: 0.1}, p=2)["status"] == "insufficient"
+    for probs in ({0: 1.0}, {0: 0.9, 1: 0.1}):
+        hist = HeightHistogram(p=2, beta=1.0, box_size=3, probs=probs,
+                               n_samples=1)
+        assert ld_diagnostics(hist)["status"] == "insufficient"
 

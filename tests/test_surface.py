@@ -216,15 +216,6 @@ def test_build_boundary_errors():
         build_boundary(("custom", partial), 4)
 
 
-def test_validate_floor_violation():
-    cfg = SurfaceConfig.flat(3, floor=0)
-    cfg.heights[1, 1] = -1
-    with pytest.raises(StructureError):
-        cfg.validate()
-    cfg.heights[1, 1] = 0
-    assert cfg.validate()
-
-
 def test_missing_boundary_is_structural_error():
     cfg = SurfaceConfig.flat(3)
     del cfg.boundary[(-1, 0)]

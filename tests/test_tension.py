@@ -72,7 +72,7 @@ def test_dihedral_symmetry_of_table():
 
 
 def test_finite_size_drift_bounded():
-    seq = finite_size_drift(3.0, sizes=range(4, 65, 4))
+    seq = finite_size_drift(3.0)
     assert seq.max() - seq.min() < 2.0
     head = seq[: len(seq) // 2]
     tail = seq[len(seq) // 2:]
@@ -96,5 +96,3 @@ def test_tension_strict_convexity_surrogate():
 def test_estimate_tension_input_validation():
     with pytest.raises(StructureError):
         estimate_tension(2.0, (1, 2))
-    with pytest.raises(StructureError):
-        estimate_tension(2.0, (1, 0), sizes=(4, 8))
