@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidConstraintError
 
-PIPELINES = ("surface", "scales", "fs", "rw", "tension", "levellines", "endtoend")
-LAWS = ("basic", "laplace")
+# the keys that take one of a fixed set of values
+_CHOICES = {
+    ("pipeline", "name"): ("surface", "scales", "fs", "rw", "tension",
+                           "levellines", "endtoend"),
+    ("rw", "law"): ("basic", "laplace"),
+}
 
 # the only sections and keys a config may set; each value's type is the key's
 _DEFAULTS = {
@@ -61,13 +65,18 @@ class ExperimentConfig:
                 raise ConfigError(f"line {i}: key before any [section]")
             k, _, v = s.partition("=")
             cfg.set(current, k.strip(), v.strip())
-        cfg.validate()
         return cfg
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.parse(fh.read())
+        """parse() of the file at path; one that cannot be read as UTF-8 text
+        (missing, a directory, binary) is a ConfigError naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.parse(fh.read())
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config {str(path)!r} "
+                              f"({type(e).__name__})") from None
 
     def get(self, section, key):
         try:
@@ -76,21 +85,29 @@ class ExperimentConfig:
             raise ConfigError(f"missing config key [{section}] {key}") from None
 
     def set(self, section, key, value):
+        """Set a key to value as the type of its default, refusing an unknown
+        key, a value that does not parse, or one outside the key's choices."""
         if key not in _DEFAULTS.get(section, ()):
             raise ConfigError(f"unknown config key [{section}] {key}")
-        self.sections[section][key] = _coerce(section, key, value)
+        try:
+            value = type(_DEFAULTS[section][key])(value)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: cannot parse {value!r}") from None
+        choices = _CHOICES.get((section, key))
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown [{section}] {key} {value!r}; "
+                              f"choose from {choices}")
+        self.sections[section][key] = value
 
     def validate(self):
-        name = self.get("pipeline", "name")
-        if name not in PIPELINES:
-            raise ConfigError(f"unknown pipeline {name!r}; choose from {PIPELINES}")
-        law = self.get("rw", "law")
-        if law not in LAWS:
-            raise ConfigError(f"unknown [rw] law {law!r}; choose from {LAWS}")
+        """Refuse a config no run can use: sweeps <= burnin, a count below
+        its least value, or a [model] section model_params_from rejects.
+        run_pipeline calls this once, after every override is set."""
         if self.get("run", "sweeps") <= self.get("run", "burnin"):
             raise ConfigError("need sweeps > burnin")
         for section, key, least in (("lattice", "L", 1), ("run", "thinning", 1),
-                                    ("run", "seed", 0)):
+                                    ("run", "seed", 0), ("run", "levels", 1),
+                                    ("fs", "paths", 1)):
             if self.get(section, key) < least:
                 raise ConfigError(f"[{section}] {key} must be >= {least}")
         model_params_from(self)
@@ -103,33 +120,13 @@ class ExperimentConfig:
         lines = []
         for section in sorted(self.sections.keys() - {"out"}):
             lines.append(f"[{section}]")
-            for k in sorted(self.sections[section]):
-                v = self.sections[section][k]
-                lines.append(f"{k} = {_fmt(v)}")
+            for k, v in sorted(self.sections[section].items()):
+                lines.append(f"{k} = {v}")
             lines.append("")
         return "\n".join(lines)
 
     def hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-
-def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _coerce(section, key, value):
-    """value as the type of the key's default; string keys take it as is."""
-    ty = type(_DEFAULTS[section][key])
-    if ty is str or isinstance(value, bool):
-        return value
-    try:
-        return ty(value)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {value!r}") from None
 
 
 def model_params_from(cfg: ExperimentConfig):

@@ -75,8 +75,10 @@ def _increment_law(cfg):
 
 
 def run_pipeline(cfg: ExperimentConfig):
-    """Run the config's pipeline into its [out] dir. An out dir that cannot be
-    made is a ConfigError; a failed run removes every directory it made."""
+    """Validate the config, then run its pipeline into its [out] dir. This is
+    the one place a run's config is validated, so callers set every key
+    first. An out dir that cannot be made is a ConfigError; a failed run
+    removes every directory it made."""
     cfg.validate()
     name = cfg.get("pipeline", "name")
     out_dir = cfg.get("out", "dir")

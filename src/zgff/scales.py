@@ -61,7 +61,6 @@ def estimate_height_prob(params: ModelParams, box_size, samples,
     if samples < 1:
         raise StructureError("need samples >= 1")
     burn_in, thinning = max(50, box_size), 2
-    run_params = ModelParams(p=params.p, beta=params.beta)
     state = ChainState(config=SurfaceConfig.flat(box_size), seed=seed,
                        scan_order="checkerboard")
     d = max(1, box_size // 6)
@@ -72,7 +71,7 @@ def estimate_height_prob(params: ModelParams, box_size, samples,
             per_sweep.append(np.unique(heights[d:box_size - d, d:box_size - d],
                                        return_counts=True))
 
-    run_chain(state, run_params, burn_in + samples * thinning, on_sweep=on_sweep)
+    run_chain(state, params, burn_in + samples * thinning, on_sweep=on_sweep)
     values = sorted({int(v) for vals, _ in per_sweep for v in vals.tolist()})
     column = {v: j for j, v in enumerate(values)}
     counts = np.zeros((samples, len(values)))

@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zgff import experiments
 from zgff.cli import main
 from zgff.config import ExperimentConfig, model_params_from
-from zgff.errors import InfeasibleError
+from zgff.errors import (BuildError, ConfigError, CoverageError,
+                         DegenerateInputError, InfeasibleError,
+                         InvalidConstraintError, ResourceLimitError,
+                         StructureError, ZgffError)
 from zgff.experiments import (height_fluctuation_exponent, run_end_to_end,
                               run_pipeline)
 from zgff.mcmc import sample_equilibrium
@@ -238,10 +242,13 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # run parameters out of range, an unknown increment law, or a section or
     # key outside the defaults -> config error, before any run starts
-    typos = [tmp_path / f"typo{i}.cfg" for i in range(4)]
+    typos = [tmp_path / f"typo{i}.cfg" for i in range(6)]
     for path, text in zip(typos, ("[rw]\nlaw = enumrated\n", "[rw]\nkmax = 6\n",
-                                  "[rw]\nkmx = 3\n", "[bogus]\nx = 1\n")):
+                                  "[rw]\nkmx = 3\n", "[bogus]\nx = 1\n",
+                                  "[fs]\npaths = 0\n", "[run]\nlevels = -1\n")):
         path.write_text(text)
+    # a --config path that cannot be read as text -> config error naming it
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00[run]")
     for argv in (["simulate", "--thin", "0", "--sweeps", "5", "--burnin", "1"],
                  ["simulate", "--thin", "-1", "--sweeps", "5", "--burnin", "1"],
                  ["scales", "--L", "0"], ["simulate", "--L", "-3"],
@@ -251,13 +258,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["simulate", "--boundary", "split-arc:left"],
                  ["levellines", "--boundary", "split-arc:left,top"],
                  ["scales", "--boundary", "split-arc:top"],
-                 *(["endtoend", "--config", str(t)] for t in typos)):
+                 ["simulate", "--L", "abc"],
+                 *(["endtoend", "--config", str(t)] for t in typos),
+                 *(["scales", "--config", str(t)] for t in
+                   (tmp_path / "nonexistent.cfg", tmp_path, tmp_path / "binary.cfg"))):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
     err = capsys.readouterr().err
     assert all(name in err for name in ("[rw] kmax", "[rw] kmx", "[bogus]",
                                         "[model] floor", "[model] boundary",
-                                        "'split-arc:top'"))
+                                        "'split-arc:top'", "[lattice] L",
+                                        "[fs] paths", "[run] levels",
+                                        "nonexistent.cfg", f"{str(tmp_path)!r}",
+                                        "binary.cfg"))
 
     # a floor above the ceiling -> infeasible, also before the out dir is made
     crossed = tmp_path / "crossed.cfg"
@@ -288,6 +301,47 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["tension", "--beta", "1.3", "--out", str(out)]) == 2
         assert f"out dir {str(out)!r}" in capsys.readouterr().err
     assert afile.is_file() and afile.read_text() == ""
+
+
+def test_cli_validates_once_after_every_override(tmp_path, monkeypatch):
+    # a file whose burn-in only the --burnin override makes valid runs, and
+    # the run validates its config once, after the override is applied
+    calls = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    cfgf = tmp_path / "long_burnin.cfg"
+    cfgf.write_text("[lattice]\nL = 8\n[run]\nsweeps = 100\nburnin = 200\n"
+                    "thinning = 30\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfgf), "--burnin", "10",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1 and calls[0].get("run", "burnin") == 10
+    assert sorted(p.name for p in out.glob("*.snap")) == [
+        "snapshot_00000.snap", "snapshot_00001.snap", "snapshot_00002.snap"]
+
+
+def test_cli_exits_with_the_code_of_each_error_class(tmp_path, monkeypatch,
+                                                     capsys):
+    # the map documented in zgff.errors, for every error class there is; a
+    # runner that raises one exits with its code and removes its out dir
+    documented = {ConfigError: (2, "config error"),
+                  StructureError: (2, "config error"),
+                  InvalidConstraintError: (3, "infeasible"),
+                  InfeasibleError: (3, "infeasible"),
+                  DegenerateInputError: (3, "infeasible"),
+                  CoverageError: (3, "infeasible"),
+                  ResourceLimitError: (4, "resource limit"),
+                  BuildError: (5, "build error")}
+    assert set(ZgffError.__subclasses__()) == set(documented)
+    for cls, (code, prefix) in documented.items():
+        def runner(cfg, out_dir, cls=cls):
+            raise cls("stopped")
+        monkeypatch.setattr(experiments, "run_fs", runner)
+        out = tmp_path / cls.__name__
+        assert main(["fs", "--out", str(out)]) == code, cls
+        assert capsys.readouterr().err == f"{prefix}: stopped\n"
+        assert not out.exists()
 
 
 def test_cli_rw_oracle_laplace_law(tmp_path):

@@ -84,7 +84,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         cfg.validate()
     for key, value in (("lattice.L", 0), ("lattice.L", -3), ("run.thinning", 0),
-                       ("run.thinning", -1), ("run.seed", -1)):
+                       ("run.thinning", -1), ("run.seed", -1),
+                       ("run.levels", 0), ("run.levels", -1), ("fs.paths", 0)):
         with pytest.raises(ConfigError):
             ExperimentConfig.default(**{key: value}).validate()
     with pytest.raises(ConfigError):
