@@ -119,7 +119,8 @@ _LIB = None
 
 
 def _library():
-    """The compiled sweep routine (_sweep.c), loaded on first use."""
+    """The compiled library (_sweep.c): the heat-bath sweep and the bridge
+    samplers of zgff.rw, loaded on first use."""
     global _LIB
     if _LIB is None:
         import ctypes
@@ -134,6 +135,12 @@ def _library():
         lib.zgff_sweep.restype = i64
         lib.zgff_probe.argtypes = (ptr, i64, ptr)
         lib.zgff_probe.restype = i64
+        lib.zgff_pcg64_raw.argtypes = (ptr, ptr, i64)
+        lib.zgff_pcg64_raw.restype = None
+        lib.zgff_bridge_draw.argtypes = (ptr, i64, ptr, ptr, ptr, i64, i64)
+        lib.zgff_bridge_draw.restype = i64
+        lib.zgff_bridge_mcmc.argtypes = (ptr, ptr)
+        lib.zgff_bridge_mcmc.restype = None
         _LIB = lib
     return _LIB
 

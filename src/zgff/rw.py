@@ -12,14 +12,15 @@ validated against the oracle rather than trusted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateInputError, InfeasibleError, ResourceLimitError,
                      StructureError)
 from .fs import FSModel, ks_distance
+from .mcmc import _library
 from .surface import TRUNCATION_EPS
 
 
@@ -119,8 +120,9 @@ def _step_terms(v, dys, probs):
     step, zero where y + dys[j] leaves the window. Held step-major, so a row
     sum adds the steps in law order."""
     r = int(np.abs(dys).max())
-    windows = sliding_window_view(np.pad(v, r), 2 * r + 1)
-    return (probs[:, None] * windows.T[dys + r]).T
+    padded = np.zeros(len(v) + 2 * r)
+    padded[r:len(v) + r] = v
+    return (probs[:, None] * padded[(dys + r)[:, None] + np.arange(len(v))]).T
 
 
 def _forward_backward(spec):
@@ -181,11 +183,21 @@ def sample_tilted_bridge(spec: TiltedBridgeSpec, count, seed, method="transfer",
 
     method 'transfer' samples exactly through the conditional chain of the
     forward-backward recursion (any width); 'mcmc' runs single-column
-    Metropolis moves (validated against the oracle in the tests).
+    Metropolis moves (validated against the oracle in the tests). Both draw
+    from np.random.default_rng(seed) and run their loops in the compiled
+    library of zgff.mcmc (a missing C compiler raises BuildError). A count
+    that is not an integer >= 0, or for 'mcmc' a mcmc_sweeps_per_sample that
+    is not an integer >= 1, raises StructureError before any draw.
     """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise StructureError(f"count must be an integer >= 0, got {count!r}")
     if method == "transfer":
         return _sample_transfer(spec, count, seed), {"method": "transfer"}
     if method == "mcmc":
+        if (not isinstance(mcmc_sweeps_per_sample, numbers.Integral)
+                or mcmc_sweeps_per_sample < 1):
+            raise StructureError("mcmc_sweeps_per_sample must be an integer "
+                                 f">= 1, got {mcmc_sweeps_per_sample!r}")
         return _sample_mcmc(spec, count, seed, mcmc_sweeps_per_sample)
     raise StructureError(f"unknown sampling method {method!r}")
 
@@ -227,77 +239,88 @@ def _sample_transfer(spec, count, seed):
     fwd, bwd, heights, site = _forward_backward(spec)
     W = spec.width
     rng = np.random.default_rng(seed)
-    # conditional cdf per column: cdf[y, j] ~ P(step j | y at column i)
+    draw = _library().zgff_bridge_draw
+    steps = np.ascontiguousarray(dys, dtype=np.int64)
+    # height indices until the return; column i + 1 is drawn from column i
     out = np.empty((count, W + 1), dtype=np.int64)
-    y = np.full(count, spec.u[1] - heights[0], dtype=np.int64)
-    out[:, 0] = y
+    out[:, 0] = spec.u[1] - heights[0]
     for i in range(W):
-        cdf = np.cumsum(_step_terms(bwd[i + 1] * site, dys, probs), axis=1)
+        # conditional cdf per height: cdf[y, j] ~ P(step j | y at column i)
+        cdf = np.ascontiguousarray(
+            np.cumsum(_step_terms(bwd[i + 1] * site, dys, probs), axis=1))
         tot = cdf[:, -1].copy()
         tot[tot == 0] = 1.0
         cdf /= tot[:, None]
         u = rng.random(count)
-        rows = cdf[y]
-        j = (u[:, None] > rows).sum(axis=1)
-        y = y + dys[j]
-        out[:, i + 1] = y
-    return out + heights[0]
+        if draw(cdf.ctypes.data, len(steps), steps.ctypes.data, u.ctypes.data,
+                out.ctypes.data + out.itemsize * i, count, W + 1) >= 0:
+            raise InfeasibleError("a path reached a zero-mass height")
+    out += heights[0]
+    return out
+
+
+def _stream_seed(seed):
+    """The state of np.random.default_rng(seed) in the slots S_* of
+    _sweep.c: state and increment as (high, low) 64-bit words, then the
+    32-bit buffer's flag and value."""
+    st = np.random.default_rng(seed).bit_generator.state
+    s, inc = st["state"]["state"], st["state"]["inc"]
+    low = (1 << 64) - 1
+    return np.array([s >> 64, s & low, inc >> 64, inc & low, st["has_uint32"],
+                     st["uinteger"]], dtype=np.uint64)
 
 
 def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     """Single-column +-1 Metropolis on the height path (for unit-step laws a
     corner flip is such a move). Irreducible: any path can reach the minimal
-    one by monotone moves."""
+    one by monotone moves.
+
+    Each sweep proposes W - 1 moves, at columns rng.integers(1, W), signs
+    (-1, 1)[rng.integers(0, 2)] and uniforms rng.random(), each drawn as one
+    array per sweep from np.random.default_rng(seed). The chain runs in the
+    compiled library (zgff_bridge_mcmc), which reproduces that numpy stream
+    bit for bit; Python builds the start path and the Metropolis ratios and
+    reads the midpoint autocorrelation off the samples."""
     dys = spec.law.dys.tolist()
     pstep = dict(zip(dys, spec.law.probs.tolist()))
     W = spec.width
     if W < 2:
         raise StructureError("bridge too narrow for MCMC moves")
-    burn_in = 10 * W
-    rng = np.random.default_rng(seed)
-    y = _initial_path(spec, dys).tolist()
+    y = _initial_path(spec, dys)
     tilt = 1.0 / spec.tilt_N
     # Metropolis ratio of moving a column by e between steps dl (left) and dr
-    # (right); a move whose new steps leave the law's support is absent
-    ratios = {(dl, dr, e): (pstep[dl + e] * pstep[dr - e]) / (pstep[dl] * pstep[dr])
-              * math.exp(-tilt * e)
-              for dl in dys for dr in dys for e in (-1, 1)
-              if dl + e in pstep and dr - e in pstep}
-    floor = spec.floor
-    ceiling = math.inf if spec.ceiling is None else spec.ceiling
-    signs = np.array((-1, 1))
+    # (right), at [dl - dmin, dr - dmin, e > 0]; -1 marks a move whose new
+    # steps leave the law's support
+    dmin = min(dys)
+    span = max(dys) - dmin + 1
+    ratios = np.full((span, span, 2), -1.0)
+    for dl in dys:
+        for dr in dys:
+            for up, e in enumerate((-1, 1)):
+                if dl + e in pstep and dr - e in pstep:
+                    ratios[dl - dmin, dr - dmin, up] = (
+                        (pstep[dl + e] * pstep[dr - e]) / (pstep[dl] * pstep[dr])
+                        * math.exp(-tilt * e))
     samples = np.empty((count, W + 1), dtype=np.int64)
-    accepts = proposals = 0
-    mid_trace = np.empty(count)
-    k = 0
-    total_sweeps = burn_in + count * sweeps_per_sample
-    for sweep in range(total_sweeps):
-        # same stream as rng.choice((-1, 1), size=W - 1), at half the cost
-        cols = rng.integers(1, W, size=W - 1).tolist()
-        eps = signs[rng.integers(0, 2, size=W - 1)].tolist()
-        us = rng.random(W - 1).tolist()
-        for c, e, u in zip(cols, eps, us):
-            yc = y[c]
-            ynew = yc + e
-            if ynew < floor or ynew > ceiling:
-                continue
-            ratio = ratios.get((yc - y[c - 1], y[c + 1] - yc, e))
-            if ratio is None:
-                continue
-            proposals += 1
-            if u < ratio:
-                y[c] = ynew
-                accepts += 1
-        if sweep >= burn_in and (sweep - burn_in) % sweeps_per_sample == 0 and k < count:
-            samples[k] = y
-            mid_trace[k] = y[W // 2]
-            k += 1
+    cols = np.empty(W - 1, dtype=np.int64)
+    signs = np.empty(W - 1, dtype=np.int64)
+    uniforms = np.empty(W - 1)
+    tally = np.zeros(2, dtype=np.int64)          # accepts, proposals
+    ceiling = np.iinfo(np.int64).max if spec.ceiling is None else spec.ceiling
+    desc = np.array([y.ctypes.data, W, spec.floor, ceiling, ratios.ctypes.data,
+                     dmin, span, samples.ctypes.data, count, 10 * W,
+                     sweeps_per_sample, cols.ctypes.data, signs.ctypes.data,
+                     uniforms.ctypes.data, tally.ctypes.data], dtype=np.int64)
+    stream = _stream_seed(seed)
+    _library().zgff_bridge_mcmc(desc.ctypes.data, stream.ctypes.data)
     from .stats import integrated_autocorr_time
+    accepts, proposals = tally.tolist()
     diag = {"method": "mcmc",
             "acceptance_rate": accepts / max(proposals, 1),
-            "midpoint_autocorr_samples": (integrated_autocorr_time(mid_trace[:k])
-                                          if k >= 8 else float("nan"))}
-    return samples[:k], diag
+            "midpoint_autocorr_samples": (
+                integrated_autocorr_time(samples[:, W // 2].astype(float))
+                if count >= 8 else float("nan"))}
+    return samples, diag
 
 
 def _initial_path(spec, dys):

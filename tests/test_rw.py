@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from zgff import mcmc
 from zgff.errors import DegenerateInputError, InfeasibleError, StructureError
 from zgff.fs import FSModel, fs_quantile
-from zgff.rw import (IncrementLaw, TiltedBridgeSpec, basic_increment_law,
-                     enumerate_bridge, fs_comparison, laplace_increment_law,
-                     sample_tilted_bridge, transfer_matrix_exact)
+from zgff.rw import (IncrementLaw, TiltedBridgeSpec, _stream_seed,
+                     basic_increment_law, enumerate_bridge, fs_comparison,
+                     laplace_increment_law, sample_tilted_bridge,
+                     transfer_matrix_exact)
 from zgff.surface import TRUNCATION_EPS
 from zgff.tension import log_partition_directed
 
@@ -204,6 +206,88 @@ def test_mcmc_sampler_stream_is_pinned():
     assert digest == ("873d8b1617c37266e70fd52cd28579dea86c471eda9b9d8545441456"
                       "d50cf5f3")
     assert diag["acceptance_rate"] == float.fromhex("0x1.40b4dff8e93c8p-1")
+
+
+def _sha256(paths):
+    return hashlib.sha256(np.ascontiguousarray(paths, dtype=np.int64)
+                          .tobytes()).hexdigest()
+
+
+def test_compiled_pcg64_words_match_numpy():
+    out = np.empty(1000, dtype=np.uint64)
+    for seed in (0, 3, 11, 2 ** 70 + 5):
+        stream = _stream_seed(seed)
+        mcmc._library().zgff_pcg64_raw(stream.ctypes.data, out.ctypes.data,
+                                        len(out))
+        raw = np.random.default_rng(seed).bit_generator.random_raw(len(out))
+        assert np.array_equal(out, raw)
+
+
+# bridges whose Metropolis samples (count, seed, sweeps per sample) were
+# hashed from the numpy loop that the compiled chain replaced; with the
+# acceptance rate, they pin the compiled chain to numpy's stream
+_MCMC_PINNED = {
+    "W=2, no column draw": (
+        TiltedBridgeSpec(u=(0, 1), v=(2, 1), floor=0, tilt_N=3.0,
+                         law=basic_increment_law(0.25), ceiling=5), 2000, 5, 3,
+        "c8895f4d3eed4a29fa016b06a873e53ab024f7f102773aa883b112127c0f2d00",
+        "0x1.b82acb458a510p-2"),
+    "laplace(0.8)": (
+        TiltedBridgeSpec(u=(0, 3), v=(16, 5), floor=0, tilt_N=8.0,
+                         law=laplace_increment_law(0.8), ceiling=30), 2000, 7, 4,
+        "1de87bb504e06b1d060e7854eb50640dd6d098deb8427358ba79408896d01199",
+        "0x1.29adfaec782ddp-1"),
+    "dys [1, -1], every move absent": (
+        TiltedBridgeSpec(u=(0, 0), v=(10, 0), floor=0, tilt_N=5.0,
+                         law=IncrementLaw(dys=[1, -1], probs=[0.5, 0.5]),
+                         ceiling=6), 500, 1, 2,
+        "8c8538911de07e3c35359cd7c2185dc0beaf6f3ae1dc1fe3da67999d5afa689e",
+        "0x0.0p+0"),
+    "no ceiling": (
+        TiltedBridgeSpec(u=(0, 2), v=(14, 3), floor=0, tilt_N=5.0,
+                         law=basic_increment_law(0.25)), 2000, 9, 3,
+        "75cc68a8fc8f80b000c1a605726fd45190353c68203ed1659f8806d3b9edb05a",
+        "0x1.461bc4ddde453p-1"),
+    "no tilt": (
+        TiltedBridgeSpec(u=(0, 1), v=(10, 1), floor=0, tilt_N=math.inf,
+                         law=basic_increment_law(0.3), ceiling=8), 2000, 13, 3,
+        "da9ff84d61d51bd271b31bb66d7d7273c39a163ed3904f524fcc546c0df60849",
+        "0x1.b1fc5d84ca086p-1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MCMC_PINNED))
+def test_mcmc_sampler_matches_the_numpy_stream(case):
+    spec, count, seed, sweeps, digest, rate = _MCMC_PINNED[case]
+    samples, diag = sample_tilted_bridge(spec, count, seed, method="mcmc",
+                                         mcmc_sweeps_per_sample=sweeps)
+    assert samples.shape == (count, spec.width + 1)
+    assert _sha256(samples) == digest
+    assert diag["acceptance_rate"] == float.fromhex(rate)
+
+
+def test_transfer_sampler_stream_is_pinned():
+    # hashed from the numpy draw that the compiled column step replaced
+    spec = TiltedBridgeSpec(u=(0, 4), v=(40, 6), floor=1, tilt_N=20.0,
+                            law=laplace_increment_law(1.3))
+    paths, _ = sample_tilted_bridge(spec, 3000, 21, method="transfer")
+    assert _sha256(paths) == ("7fb4877adb3e878ff6c9667217ec354e62e561fe9d118ce4"
+                              "c88039ea3120ab25")
+
+
+def test_invalid_bridge_counts():
+    spec = TiltedBridgeSpec(u=(0, 1), v=(10, 1), floor=0, tilt_N=4.0,
+                            law=basic_increment_law(0.25), ceiling=10)
+    for sweeps in (0, -2, 1.5):
+        with pytest.raises(StructureError):
+            sample_tilted_bridge(spec, 10, 0, method="mcmc",
+                                 mcmc_sweeps_per_sample=sweeps)
+    for method in ("transfer", "mcmc"):
+        for count in (-1, 2.0):
+            with pytest.raises(StructureError):
+                sample_tilted_bridge(spec, count, 0, method=method)
+        paths, _ = sample_tilted_bridge(spec, 0, 0, method=method)
+        assert paths.shape == (0, 11)
 
 
 def test_mcmc_infeasible_initial_path():
