@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -86,13 +87,16 @@ class ExperimentConfig:
 
     def set(self, section, key, value):
         """Set a key to value as the type of its default, refusing an unknown
-        key, a value that does not parse, or one outside the key's choices."""
+        key, a value that does not parse, a non-finite float, or one outside
+        the key's choices."""
         if key not in _DEFAULTS.get(section, ()):
             raise ConfigError(f"unknown config key [{section}] {key}")
         try:
             value = type(_DEFAULTS[section][key])(value)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: cannot parse {value!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
         choices = _CHOICES.get((section, key))
         if choices is not None and value not in choices:
             raise ConfigError(f"unknown [{section}] {key} {value!r}; "

@@ -34,8 +34,8 @@ class FSModel:
     cdf_grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise StructureError("sigma must be positive")
+        if not self.sigma > 0:
+            raise StructureError(f"sigma must be positive, got {self.sigma}")
         self.omega1 = w1 = OMEGA1
         self.ai_prime_at_minus_omega1 = airy(-w1)[1]
         c = self.scale
@@ -112,10 +112,13 @@ def sample_paths(model: FSModel, n_paths, n_steps, dt, x0, seed):
 
     The drift is evaluated through a dense table of x*drift(x) (smooth at 0,
     value sigma^2), which keeps the sampler exact to interpolation error
-    while allowing ensemble steps.
+    while allowing ensemble steps. Needs x0 > 0, dt > 0 and n_steps >= 1
+    (StructureError otherwise).
     """
-    if x0 <= 0 or dt <= 0:
-        raise StructureError("need x0 > 0 and dt > 0")
+    if not (x0 > 0 and dt > 0):
+        raise StructureError(f"need x0 > 0 and dt > 0, got x0={x0}, dt={dt}")
+    if n_steps < 1:
+        raise StructureError(f"need n_steps >= 1, got {n_steps}")
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, model.x_max * 1.5, 60_000)
     g_tab = np.empty_like(grid)

@@ -70,15 +70,26 @@ class LevelLoop:
 
     def column_hits(self, c):
         """Sorted y-coordinates at which the loop meets the vertical line
-        x = c (corner points; vertical bonds contribute both endpoints)."""
-        ys = set()
-        for (a, b, d) in self.bonds:
-            if d == "v" and a == c:
-                ys.add(b)
-                ys.add(b + 1)
-            elif d == "h" and (a == c or a + 1 == c):
-                ys.add(b)
-        return sorted(ys)
+        x = c, by the rule of _column_hits."""
+        return sorted(_column_hits(self.bonds, (c,))[c])
+
+
+def _column_hits(bonds, columns):
+    """{c: set of y} for each c in columns: the corner points (c, y) of the
+    loop's bonds, in one pass. A vertical bond (c, b) contributes both
+    endpoints b and b + 1; a horizontal bond (a, b) contributes b to
+    columns a and a + 1."""
+    hits = {c: set() for c in columns}
+    for a, b, d in bonds:
+        if d == "v":
+            if a in hits:
+                hits[a].update((b, b + 1))
+        else:
+            if a in hits:
+                hits[a].add(b)
+            if a + 1 in hits:
+                hits[a + 1].add(b)
+    return hits
 
 
 def macroscopic_threshold(L):
@@ -276,18 +287,7 @@ def profile(loop: LevelLoop, N_n, L):
     rho = np.full(xs.shape, np.nan)
     rho_bar = np.full(xs.shape, np.nan)
     half = L / 2.0
-    # column_hits of every window column (all inside [0, L]), in one pass
-    # over the bonds
-    hits = {c: set() for c in range(center - W, center + W + 1)}
-    for a, b, d in loop.bonds:
-        if d == "v":
-            if a in hits:
-                hits[a].update((b, b + 1))
-        else:
-            if a in hits:
-                hits[a].add(b)
-            if a + 1 in hits:
-                hits[a + 1].add(b)
+    hits = _column_hits(loop.bonds, range(center - W, center + W + 1))
     for c, ys in hits.items():
         if not ys:
             continue

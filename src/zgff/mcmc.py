@@ -80,6 +80,13 @@ class ChainState:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
 
 
+def _check_sweeps(n_sweeps):
+    """The sweep-count rule of every chain runner: n_sweeps < 0 raises
+    StructureError."""
+    if n_sweeps < 0:
+        raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
+
+
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
@@ -96,8 +103,7 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     InvalidConstraintError, and a C compiler that is missing or fails on
     first use BuildError (see _build).
     """
-    if n_sweeps < 0:
-        raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
+    _check_sweeps(n_sweeps)
     cfg = state.config
     L = cfg.L
     us = UniformStream(state.seed, L * L)
@@ -356,8 +362,9 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
 
     pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included).
     Returns the number of (pair, site) order violations seen after any sweep
-    (0 is the contract).
+    (0 is the contract). n_sweeps < 0 raises StructureError.
     """
+    _check_sweeps(n_sweeps)
     B, W, _ = pad_lo.shape
     L = W - 2
     kernel = _kernel(params)
@@ -432,7 +439,9 @@ def _pair(params, L, boundary, low, top, seed, start, n_sweeps, on_sweep=None):
     boundary, sweeps start, ..., start + n_sweeps - 1 of seed's stream under
     the params' floor and ceiling. on_sweep, if given, is called after each
     sweep as on_sweep(sweep_count, heights), heights the (2, L, L) interior
-    view, [0] the low chain. Returns the (2, L+2, L+2) grid."""
+    view, [0] the low chain. Returns the (2, L+2, L+2) grid; n_sweeps < 0
+    raises StructureError."""
+    _check_sweeps(n_sweeps)
     grid = np.stack([SurfaceConfig.flat(L, v, boundary).padded() for v in (low, top)])
     sweep = _Sweep(_kernel(params), grid.reshape(-1), L, 2, "raster",
                    params.floor_spec, params.ceiling_spec)
@@ -454,7 +463,7 @@ def sandwich_diagnostic(params: ModelParams, L, sweeps, seed, boundary,
     the per-sweep mean gap and the first sweep at which it is 0 (None if it
     never is). Agreement of the two ends bounds the distance to equilibrium
     for monotone observables. A top start below the bottom one raises
-    InvalidConstraintError.
+    InvalidConstraintError, and sweeps < 0 StructureError.
     """
     low, top = _flat_start(params), high_value
     if params.ceiling_spec is not None:

@@ -105,7 +105,10 @@ def fs_bridge_spec(N, law):
     Width 6 ceil(N^(2/3)); both endpoints at the FS mean height N^(1/3) E[X]
     (the proxy for an infinitely long bridge); floor 1, strictly above the
     wall row 0 (see fs_comparison); heights capped at max(y0 + 4, 12 N^(1/3)).
+    N must be finite and > 0 (StructureError otherwise).
     """
+    if not 0 < N < math.inf:
+        raise StructureError(f"tilt N must be finite and > 0, got {N}")
     W = 6 * int(math.ceil(N ** (2.0 / 3.0)))
     scale = N ** (1.0 / 3.0)
     model = FSModel(sigma=math.sqrt(law.y_variance))

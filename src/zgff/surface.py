@@ -2,8 +2,8 @@
 
 Sites are indexed (x, y) with x the column and y the row, both in 0..L-1,
 y = 0 at the bottom. The boundary ring is the width-1 layer at x or y in
-{-1, L} (corners included) and is stored explicitly so that split-arc
-boundary conditions are unambiguous at corners.
+{-1, L} (corners included) and is stored explicitly as a map from ring
+site to height.
 
 Geometric convention used throughout the package: site (x, y) occupies the
 unit cell [x, x+1] x [y, y+1], so dual (contour) vertices live at integer
@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import exp
+from math import exp, inf
 
 import numpy as np
 
@@ -30,10 +30,6 @@ SNAPSHOT_VERSION = 1
 # super-exponential for p > 1 and exponential for p = 1, so this guarantees
 # total-variation error < 1e-12 per site update.
 TRUNCATION_EPS = 1e-15
-
-SIDES = ("top", "right", "bottom", "left")
-# Corner -> side that follows it clockwise (top runs NW->NE, right NE->SE, ...).
-_CORNER_SIDE = {"nw": "top", "ne": "right", "se": "bottom", "sw": "left"}
 
 
 @dataclass
@@ -50,10 +46,12 @@ class ModelParams:
     ceiling_spec: object = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError(f"gradient exponent p must be >= 1, got {self.p}")
-        if self.beta <= 0:
-            raise ConfigError(f"inverse temperature beta must be > 0, got {self.beta}")
+        # NaN fails both range tests
+        if not 1 <= self.p < inf:
+            raise ConfigError(f"gradient exponent p must be finite and >= 1, got {self.p}")
+        if not 0 < self.beta < inf:
+            raise ConfigError(f"inverse temperature beta must be finite and > 0, "
+                              f"got {self.beta}")
 
 
 def ring_sites(L):
@@ -68,32 +66,12 @@ def ring_sites(L):
     return out
 
 
-def side_sites(side, L):
-    if side == "bottom":
-        return [(x, -1) for x in range(L)]
-    if side == "top":
-        return [(x, L) for x in range(L)]
-    if side == "left":
-        return [(-1, y) for y in range(L)]
-    if side == "right":
-        return [(L, y) for y in range(L)]
-    raise ConfigError(f"unknown side {side!r}")
-
-
-def corner_sites(L):
-    return {"sw": (-1, -1), "se": (L, -1), "nw": (-1, L), "ne": (L, L)}
-
-
-def build_boundary(spec, L, H=None, n=None):
+def build_boundary(spec, L):
     """Realize a named boundary pattern as a total mapping on the ring.
 
     Supported specs:
-      ("all", k)                      -- constant height k
-      ("split-arc", sides_tuple)     -- H - n on the listed sides, H - n - 1
-                                         elsewhere (H, n required)
-      ("custom", mapping)            -- explicit {site: height}, must be total
-
-    Corners take the value of the side that follows them clockwise.
+      ("all", k)             -- constant height k
+      ("custom", mapping)    -- explicit {site: height}, must be total
     """
     if not isinstance(spec, tuple) or not spec:
         raise ConfigError(f"boundary spec must be a nonempty tuple, got {spec!r}")
@@ -101,22 +79,6 @@ def build_boundary(spec, L, H=None, n=None):
     if kind == "all":
         k = int(spec[1])
         return {s: k for s in ring_sites(L)}
-    if kind == "split-arc":
-        if H is None or n is None:
-            raise ConfigError("split-arc boundary needs H and n")
-        arc = tuple(spec[1])
-        for s in arc:
-            if s not in SIDES:
-                raise ConfigError(f"unknown side {s!r} in split-arc spec")
-        hi, lo = int(H) - int(n), int(H) - int(n) - 1
-        bnd = {}
-        for side in SIDES:
-            v = hi if side in arc else lo
-            for s in side_sites(side, L):
-                bnd[s] = v
-        for corner, (cx, cy) in corner_sites(L).items():
-            bnd[(cx, cy)] = hi if _CORNER_SIDE[corner] in arc else lo
-        return bnd
     if kind == "custom":
         mapping = dict(spec[1])
         missing = [s for s in ring_sites(L) if s not in mapping]

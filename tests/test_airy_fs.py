@@ -120,6 +120,9 @@ def test_fs_model_takes_only_sigma():
     # every other field is computed from sigma, so none can be passed in
     with pytest.raises(TypeError):
         FSModel(sigma=1.0, x_max=5.0)
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(StructureError):
+            FSModel(sigma=sigma)
 
 
 def test_density_argmax_formula():
@@ -213,8 +216,11 @@ def test_sample_path_replay_and_positivity():
     assert p1.shape == (2, 5001)
     assert np.array_equal(p1, p2)
     assert np.all(p1 > 0)
-    with pytest.raises(StructureError):
-        sample_paths(m, 1, 1000, 1e-3, x0=-1.0, seed=0)
+    # each range check fails on NaN too, so no NaN path is ever drawn
+    for n_steps, dt, x0 in ((1000, 1e-3, -1.0), (1000, 1e-3, math.nan),
+                            (1000, math.nan, 1.0), (0, 1e-3, 1.0), (-1, 1e-3, 1.0)):
+        with pytest.raises(StructureError):
+            sample_paths(m, 1, n_steps, dt, x0=x0, seed=0)
 
 
 def test_path_marginals_match_density():

@@ -242,10 +242,20 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # run parameters out of range, an unknown increment law, or a section or
     # key outside the defaults -> config error, before any run starts
-    typos = [tmp_path / f"typo{i}.cfg" for i in range(6)]
+    # a non-finite float -> config error when the key is set
+    typos = [tmp_path / f"typo{i}.cfg" for i in range(10)]
     for path, text in zip(typos, ("[rw]\nlaw = enumrated\n", "[rw]\nkmax = 6\n",
                                   "[rw]\nkmx = 3\n", "[bogus]\nx = 1\n",
-                                  "[fs]\npaths = 0\n", "[run]\nlevels = -1\n")):
+                                  "[fs]\npaths = 0\n", "[run]\nlevels = -1\n",
+                                  "[rw]\ntilt_n = nan\n", "[fs]\ndt = nan\n",
+                                  "[fs]\nx0 = nan\n", "[fs]\nsigma = nan\n")):
+        path.write_text(text)
+    # a value outside the range of the rw or fs runner -> config error from
+    # the runner, which removes its out dir; [fs] steps below [fs] paths leaves
+    # no step per path
+    ranges = [tmp_path / f"range{i}.cfg" for i in range(3)]
+    for path, text in zip(ranges, ("[rw]\ntilt_n = -5\n", "[fs]\nsteps = -10\n",
+                                   "[fs]\nsteps = 10\n")):
         path.write_text(text)
     # a --config path that cannot be read as text -> config error naming it
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00[run]")
@@ -255,13 +265,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["fs", "--seed", "-1"], ["rw-oracle", "--seed", "-2"],
                  ["simulate", "--floor", "abc"], ["simulate", "--boundary", "all:x"],
                  ["simulate", "--beta", "-1"],
+                 *(["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1",
+                    "--thin", "1", flag, value]
+                   for flag, value in (("--beta", "nan"), ("--beta", "inf"), ("--p", "nan"))),
                  ["simulate", "--boundary", "split-arc:left"],
                  ["levellines", "--boundary", "split-arc:left,top"],
                  ["scales", "--boundary", "split-arc:top"],
                  ["simulate", "--L", "abc"],
                  *(["endtoend", "--config", str(t)] for t in typos),
                  *(["scales", "--config", str(t)] for t in
-                   (tmp_path / "nonexistent.cfg", tmp_path, tmp_path / "binary.cfg"))):
+                   (tmp_path / "nonexistent.cfg", tmp_path, tmp_path / "binary.cfg")),
+                 *([cmd, "--config", str(t)] for cmd, t in zip(("rw-oracle", "fs", "fs"), ranges))):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
     err = capsys.readouterr().err
@@ -269,6 +283,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         "[model] floor", "[model] boundary",
                                         "'split-arc:top'", "[lattice] L",
                                         "[fs] paths", "[run] levels",
+                                        "[model] beta must be finite",
+                                        "[model] p must be finite",
+                                        "[fs] sigma must be finite",
+                                        "tilt N must be finite and > 0", "n_steps >= 1",
                                         "nonexistent.cfg", f"{str(tmp_path)!r}",
                                         "binary.cfg"))
 

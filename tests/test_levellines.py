@@ -12,7 +12,7 @@ from zgff.errors import CoverageError, StructureError
 from zgff.levellines import (LevelLoop, enclosed_region, extract_level_lines,
                              loops_to_records, macroscopic_threshold,
                              nesting_report, profile, top_level_loop)
-from zgff.surface import SurfaceConfig, build_boundary
+from zgff.surface import SurfaceConfig, build_boundary, ring_sites
 
 
 def test_all_below_level_empty():
@@ -265,10 +265,9 @@ def _fallback_configs():
     small = SurfaceConfig.flat(32)
     small.heights[12:20, 10:18] = 1
     small.heights[2, 2] = 1
-    # ring at the level (split-arc on every side): loops wind around the low
-    # regions, and the column meets both
-    raised = SurfaceConfig.flat(32, value=1, boundary=build_boundary(
-        ("split-arc", ("top", "right", "bottom", "left")), 32, H=1, n=0))
+    # ring at the level: loops wind around the low regions, and the column
+    # meets both
+    raised = SurfaceConfig.flat(32, value=1, boundary=build_boundary(("all", 1), 32))
     raised.heights[3:29, 2:20] = 0
     raised.heights[14:18, 24:28] = 0
     # centre column entirely below the level, a macroscopic loop elsewhere,
@@ -385,9 +384,10 @@ def test_top_level_loop_none_without_macroscopic_loop():
 
 
 def test_level_crossing_a_split_ring_is_a_structure_error():
-    # the level separates two ring arcs, so its lines end on the ring
-    cfg = SurfaceConfig.flat(16, boundary=build_boundary(
-        ("split-arc", ("bottom",)), 16, H=1, n=0))
+    # the level separates two ring arcs, so its lines end on the ring: 1 on
+    # the bottom side and its east corner, 0 elsewhere
+    cfg = SurfaceConfig.flat(16, boundary=build_boundary(("custom", {
+        (x, y): int(y == -1 and x >= 0) for x, y in ring_sites(16)}), 16))
     cfg.heights[4:12, 4:12] = 1
     with pytest.raises(StructureError, match="degree 1"):
         extract_level_lines(cfg, 1)
@@ -396,8 +396,9 @@ def test_level_crossing_a_split_ring_is_a_structure_error():
     with pytest.raises(StructureError, match="degree 1"):
         enclosed_region(cfg, 1)
     with pytest.raises(StructureError):
-        enclosed_region(SurfaceConfig.flat(4, value=1, boundary=build_boundary(
-            ("split-arc", ("left",)), 4, H=2, n=0)), 2)
+        # 2 on the left side and its south corner, 1 elsewhere
+        enclosed_region(SurfaceConfig.flat(4, value=1, boundary=build_boundary(("custom", {
+            (x, y): 2 if x == -1 and y < 4 else 1 for x, y in ring_sites(4)}), 4)), 2)
 
 
 def test_enclosed_region_is_vertical_bond_parity():

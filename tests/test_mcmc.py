@@ -251,6 +251,15 @@ def test_sweeps_burnin_validation():
         run_chain(state, ModelParams(), -3)
     run_chain(state, ModelParams(), 0)  # zero sweeps stay legal
     assert state.sweep_count == 0
+    # the same rule on the coupled batch and the sandwich
+    params = ModelParams(p=2, beta=1.0, floor_spec=0)
+    pad = np.zeros((1, 4, 4), dtype=np.int64)
+    with pytest.raises(StructureError):
+        coupled_batch_run(pad, pad.copy(), params, 1, -1)
+    with pytest.raises(StructureError):
+        sandwich_diagnostic(params, 3, -2, seed=1,
+                            boundary=build_boundary(("all", 0), 3), high_value=2)
+    assert coupled_batch_run(pad, pad.copy(), params, 1, 0) == 0
 
 
 def _reference_sweep(cfg, params, u, scan):

@@ -8,8 +8,8 @@ from zgff import mcmc
 from zgff.errors import DegenerateInputError, InfeasibleError, StructureError
 from zgff.fs import FSModel, fs_quantile
 from zgff.rw import (IncrementLaw, TiltedBridgeSpec, _stream_seed,
-                     basic_increment_law, enumerate_bridge, fs_comparison,
-                     laplace_increment_law, sample_tilted_bridge,
+                     basic_increment_law, enumerate_bridge, fs_bridge_spec,
+                     fs_comparison, laplace_increment_law, sample_tilted_bridge,
                      transfer_matrix_exact)
 from zgff.surface import TRUNCATION_EPS
 from zgff.tension import log_partition_directed
@@ -23,6 +23,12 @@ def test_basic_law_examples():
         basic_increment_law(0.0)      # documented degenerate boundary case
     with pytest.raises(StructureError):
         basic_increment_law(0.5)
+
+
+def test_fs_bridge_spec_needs_a_positive_tilt():
+    for N in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(StructureError):
+            fs_bridge_spec(N, basic_increment_law(0.25))
 
 
 def test_increment_law_validation():

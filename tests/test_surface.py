@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zgff.errors import ConfigError, InvalidConstraintError, StructureError
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
-                          conditional_tables, corner_sites, energy,
+                          conditional_tables, energy,
                           local_conditional,
                           read_snapshot, ring_sites, write_snapshot)
 
@@ -192,20 +192,11 @@ def test_build_boundary_all():
     assert all(v == 0 for v in bnd.values())
 
 
-def test_build_boundary_split_arc():
-    L, H, n = 4, 3, 1
-    bnd = build_boundary(("split-arc", ("left", "top", "right")), L, H=H, n=n)
-    hi, lo = H - n, H - n - 1
-    assert all(bnd[(x, L)] == hi for x in range(L))      # top
-    assert all(bnd[(x, -1)] == lo for x in range(L))     # bottom
-    assert all(bnd[(-1, y)] == hi for y in range(L))
-    assert all(bnd[(L, y)] == hi for y in range(L))
-    corners = corner_sites(L)
-    # corners follow their clockwise-adjacent side
-    assert bnd[corners["nw"]] == hi    # top in arc
-    assert bnd[corners["ne"]] == hi    # right in arc
-    assert bnd[corners["se"]] == lo    # bottom not in arc
-    assert bnd[corners["sw"]] == hi    # left in arc
+def test_model_params_refuse_p_and_beta_out_of_range():
+    for kw in ({"p": 0.5}, {"beta": 0.0}, {"beta": math.nan}, {"beta": math.inf},
+               {"p": math.nan}, {"p": math.inf}):
+        with pytest.raises(ConfigError):
+            ModelParams(**kw)
 
 
 def test_build_boundary_errors():
