@@ -48,6 +48,20 @@ class ResourceLimitError(ZgffError):
     exit_code, prefix = 4, "resource limit"
 
 
+# The most cells (8-byte floats or ints) one sampler array may hold: 2 GB.
+# The default configs need at most 5e6 (rw-oracle's 4,000 paths of 1,255
+# columns), criterion 6 4e7 (20,000 paths of 1,987 columns).
+CELL_BUDGET = 250_000_000
+
+
+def check_cells(shape, what):
+    """Raise ResourceLimitError, naming what and its 2-D shape, before an
+    array of more than CELL_BUDGET cells is allocated."""
+    if shape[0] * shape[1] > CELL_BUDGET:
+        raise ResourceLimitError(f"{what}: shape {shape} exceeds the budget "
+                                 f"of {CELL_BUDGET:,} cells")
+
+
 class BuildError(ZgffError):
     """The compiled sweep routine could not be built (no or a failing C
     compiler)."""

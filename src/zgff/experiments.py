@@ -57,12 +57,13 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
-def _sample(cfg, params):
-    """The config's checkerboard equilibrium run: (snapshots, diagnostics)."""
+def _sample(cfg, params, on_snapshot):
+    """sample_equilibrium over the config's checkerboard run."""
     return sample_equilibrium(
         params, cfg.get("lattice", "L"), cfg.get("run", "sweeps"),
         cfg.get("run", "burnin"), cfg.get("run", "thinning"),
-        cfg.get("run", "seed"), scan_order="checkerboard")
+        cfg.get("run", "seed"), scan_order="checkerboard",
+        on_snapshot=on_snapshot)
 
 
 def _increment_law(cfg):
@@ -112,17 +113,18 @@ def run_pipeline(cfg: ExperimentConfig):
 def run_surface(cfg, out_dir):
     params = model_params_from(cfg)
     seed = cfg.get("run", "seed")
-    snaps, diag = _sample(cfg, params)
-    artifacts = []
-    for i, snap in enumerate(snaps):
+
+    def write(i, snap):
         name = f"snapshot_{i:05d}.snap"
         write_snapshot(os.path.join(out_dir, name), snap, params)
-        artifacts.append(name)
+        return name, snap.heights.mean()
+
+    written, diag = _sample(cfg, params, write)
     _write_csv(os.path.join(out_dir, "snapshots.csv"), cfg,
                "snapshot_index,seed,mean_height",
-               ((i, seed, snap.heights.mean()) for i, snap in enumerate(snaps)))
-    artifacts.append("snapshots.csv")
-    summary = {"n_snapshots": len(snaps), "autocorr_time_sweeps":
+               ((i, seed, mean) for i, (_, mean) in enumerate(written)))
+    artifacts = [name for name, _ in written] + ["snapshots.csv"]
+    summary = {"n_snapshots": len(written), "autocorr_time_sweeps":
                None if math.isnan(diag["autocorr_time_sweeps"])
                else round(diag["autocorr_time_sweeps"], 3)}
     return artifacts, summary
@@ -224,27 +226,32 @@ def run_tension(cfg, out_dir):
 def run_levellines(cfg, out_dir):
     """Extract loops at every level of each snapshot and export them."""
     seed = cfg.get("run", "seed")
-    snapshots, _ = _sample(cfg, model_params_from(cfg))
-    records = []
-    for idx, snap in enumerate(snapshots):
+
+    def extract(idx, snap):
+        records = []
         hmax = int(snap.heights.max())
         for h in range(1, hmax + 2):
             for rec in loops_to_records(extract_level_lines(snap, h)):
                 rec["snapshot_index"] = idx
                 rec["seed"] = seed
                 records.append(rec)
+        return records
+
+    by_snapshot, _ = _sample(cfg, model_params_from(cfg), extract)
+    records = [rec for recs in by_snapshot for rec in recs]
     _json_dump(os.path.join(out_dir, "loops.json"),
                {"config_hash": cfg.hash(), "loops": records})
     n_macro = sum(1 for r in records if r["macroscopic"])
     return ["loops.json"], {"n_loops": len(records), "n_macroscopic": n_macro,
-                            "n_snapshots": len(snapshots)}
+                            "n_snapshots": len(by_snapshot)}
 
 
 def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     """simulate -> top-m level lines -> rescaled profiles -> KS vs FS ->
     cross-level dependence -> manifest.
 
-    snapshots/scale_table may be injected (tests mock the sampler with fixed
+    snapshots (any iterable of SurfaceConfig, read in place of the sampler's)
+    and scale_table may be injected (tests mock the sampler with fixed
     loops); refuses side lengths in the exceptional set, naming the interval.
     """
     params = model_params_from(cfg)
@@ -262,49 +269,48 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
             f"L={L} lies in the exceptional interval [{iv[0]}, {iv[1]}] "
             "(plateau transition); pick a side length outside it")
     H = scale_table.H
-    if snapshots is None:
-        snapshots, _ = _sample(cfg, params)
 
-    rows = []
-    y0_by_level = {n: {} for n in range(m)}   # level -> {snapshot index: Y(0)}
-    missing = {n: [] for n in range(m)}
-    sup_gaps = []
-    for idx, snap in enumerate(snapshots):
+    def read(idx, snap):
+        """(profile rows, {level: Y(0)}, sup gaps) of one snapshot."""
+        rows, y0, gaps = [], {}, []
         for n in range(m):
             top = top_level_loop(snap, H - n) if H > n else None
             if top is None:
-                missing[n].append(idx)
                 continue
             # top crosses the centre column, so Y(0) is always read
             N_n = scale_table.N[n]
             t, rho, rho_bar, Y = profile(top, N_n, L)
             gap = rho_bar - rho
             if not np.isnan(gap).all():
-                sup_gaps.append(float(np.nanmax(gap) / N_n ** (1.0 / 3.0)))
-            y0_by_level[n][idx] = float(Y[len(t) // 2])
+                gaps.append(float(np.nanmax(gap) / N_n ** (1.0 / 3.0)))
+            y0[n] = float(Y[len(t) // 2])
             for j, x in enumerate(t):
                 cells = ((None,) * 3 if np.isnan(rho[j])
                          else (rho[j], rho_bar[j], Y[j]))
                 rows.append((idx, seed, n, x, *cells))
+        return rows, y0, gaps
 
+    if snapshots is None:
+        reads, _ = _sample(cfg, params, read)
+    else:
+        reads = [read(idx, snap) for idx, snap in enumerate(snapshots)]
     _write_csv(os.path.join(out_dir, "profiles.csv"), cfg,
-               "snapshot_index,seed,level_n,t,rho,rhoBar,Y", rows)
-
-    y0s = [np.asarray(list(y0_by_level[n].values())) for n in range(m)]
+               "snapshot_index,seed,level_n,t,rho,rhoBar,Y",
+               (row for rows, _, _ in reads for row in rows))
+    y0s = [np.asarray([y0[n] for _, y0, _ in reads if n in y0]) for n in range(m)]
+    missing = {n: [idx for idx, (_, y0, _) in enumerate(reads) if n not in y0]
+               for n in range(m)}
+    sup_gaps = [g for _, _, gaps in reads for g in gaps]
     model = FSModel(sigma=sigma) if any(len(ys) >= 10 for ys in y0s) else None
     ks_by_level = {n: float(ks_distance(ys, model)) if len(ys) >= 10 else None
                    for n, ys in enumerate(y0s)}
     cross = None
-    if m >= 2:
-        a = y0_by_level[0]
-        b = y0_by_level[1]
-        both = [idx for idx in a if idx in b]
-        if len(both) >= 10:
-            try:
-                cross = float(correlation([a[i] for i in both],
-                                          [b[i] for i in both]))
-            except DegenerateInputError:
-                cross = None
+    pairs = [(y0[0], y0[1]) for _, y0, _ in reads if 0 in y0 and 1 in y0]
+    if len(pairs) >= 10:
+        try:
+            cross = float(correlation(*zip(*pairs)))
+        except DegenerateInputError:
+            cross = None
     record = {
         "config_hash": cfg.hash(), "seed": seed, "L": L, "H": H,
         "N": scale_table.N, "sample_seed": sample_seed,
@@ -319,7 +325,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
     _json_dump(os.path.join(out_dir, "endtoend.json"), record)
     summary = {"H": H, "ks_by_level": record["ks_by_level"],
                "cross_level_corr_Y0": cross,
-               "n_snapshots": len(snapshots)}
+               "n_snapshots": len(reads)}
     return ["profiles.csv", "endtoend.json"], summary
 
 
@@ -353,14 +359,17 @@ def fluctuation_scale(L, beta, p, n_snapshots, seed, warm_height=1):
     sample_equilibrium's default start)."""
     params = ModelParams(p=p, beta=beta, floor_spec=0)
     init = SurfaceConfig.flat(L, value=warm_height, floor=0)
-    snaps, diag = sample_equilibrium(params, L, n_snapshots * 4 + 80, 80, 4,
-                                     seed=seed, initial=init,
-                                     scan_order="checkerboard")
-    rho0 = []
-    for snap in snaps:
+
+    def lowest_hit(idx, snap):
         top = top_level_loop(snap, 1)
-        rho0 += top.column_hits(L // 2)[:1] if top is not None else []
-    return {"L": L, "n_used": len(rho0), "n_missing": len(snaps) - len(rho0),
+        return top.column_hits(L // 2)[:1] if top is not None else []
+
+    hits, diag = sample_equilibrium(params, L, n_snapshots * 4 + 80, 80, 4,
+                                    seed=seed, initial=init,
+                                    scan_order="checkerboard",
+                                    on_snapshot=lowest_hit)
+    rho0 = [r for hit in hits for r in hit]
+    return {"L": L, "n_used": len(rho0), "n_missing": len(hits) - len(rho0),
             "mean": float(np.mean(rho0)) if rho0 else None,
             "scale": float(np.std(rho0)) if rho0 else None,
             "autocorr_sweeps": diag["autocorr_time_sweeps"]}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import AIP_FIRST_ZERO, OMEGA1, airy
-from .errors import DegenerateInputError, StructureError
+from .errors import DegenerateInputError, StructureError, check_cells
 
 CDF_GRID_POINTS = 10_000
 
@@ -119,6 +119,7 @@ def sample_paths(model: FSModel, n_paths, n_steps, dt, x0, seed):
         raise StructureError(f"need x0 > 0 and dt > 0, got x0={x0}, dt={dt}")
     if n_steps < 1:
         raise StructureError(f"need n_steps >= 1, got {n_steps}")
+    check_cells((n_paths, n_steps + 1), "the FS paths")
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, model.x_max * 1.5, 60_000)
     g_tab = np.empty_like(grid)

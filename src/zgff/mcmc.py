@@ -387,14 +387,17 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
 
 
 def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
-                       initial=None, scan_order="raster"):
+                       initial=None, scan_order="raster", on_snapshot=None):
     """Run a chain and emit (sweeps - burn_in) // thinning snapshots.
 
     Snapshots are taken at sweep counts burn_in + k*thinning, k = 1, 2, ...
     Without an initial configuration the chain starts flat at the integer
-    floor (at 0 otherwise) inside the params' boundary ring. Returns
-    (snapshots, diagnostics) where diagnostics carries the mean-height trace
-    and an autocorrelation estimate of it.
+    floor (at 0 otherwise) inside the params' boundary ring. Snapshot k
+    (from 0) is handed to on_snapshot(k, config), config a SurfaceConfig over
+    the chain's live int64 heights that is valid only during the call; by
+    default it is kept as an int32 copy with its own boundary dict. Returns
+    (on_snapshot's results in order, diagnostics) where diagnostics carries
+    the mean-height trace and an autocorrelation estimate of it.
     """
     if not (sweeps > burn_in >= 0 and thinning >= 1):
         raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
@@ -403,17 +406,20 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
                                      boundary=build_boundary(params.boundary_spec, L),
                                      floor=params.floor_spec,
                                      ceiling=params.ceiling_spec)
+    if on_snapshot is None:
+        def on_snapshot(k, config):
+            return SurfaceConfig(L, config.heights.astype(np.int32),
+                                 dict(config.boundary), config.floor, config.ceiling)
     state = ChainState(config=initial.copy(), seed=seed, scan_order=scan_order)
-    snaps = []
+    results = []
     mean_trace = np.empty(sweeps)
-    template = state.config
 
     def on_sweep(k, heights):
         mean_trace[k - 1] = heights.mean()
         if k > burn_in and (k - burn_in) % thinning == 0:
-            snaps.append(SurfaceConfig(L, heights.astype(np.int32),
-                                       dict(template.boundary),
-                                       template.floor, template.ceiling))
+            live = SurfaceConfig(L, heights, initial.boundary, initial.floor,
+                                 initial.ceiling)
+            results.append(on_snapshot(len(results), live))
 
     run_chain(state, params, sweeps, on_sweep=on_sweep)
     from .stats import integrated_autocorr_time
@@ -421,10 +427,8 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     diagnostics = {
         "mean_height_trace": mean_trace,
         "autocorr_time_sweeps": tau,
-        "n_snapshots": len(snaps),
-        "seed": seed,
     }
-    return snaps, diagnostics
+    return results, diagnostics
 
 
 def _flat_start(params):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateInputError, InfeasibleError, ResourceLimitError,
-                     StructureError)
+                     StructureError, check_cells)
 from .fs import FSModel, ks_distance
 from .mcmc import _library
 from .surface import TRUNCATION_EPS
@@ -140,6 +140,7 @@ def _forward_backward(spec):
     else:
         hi = max(spec.u[1], spec.v[1]) + int(np.abs(dys).max()) * W
     n_h = hi - lo + 1
+    check_cells((W + 1, n_h), "the transfer window")
     site = np.exp(-(np.arange(n_h)) / spec.tilt_N)
     fwd = np.zeros((W + 1, n_h))
     iu = spec.u[1] - lo
@@ -194,6 +195,7 @@ def sample_tilted_bridge(spec: TiltedBridgeSpec, count, seed, method="transfer",
     """
     if not isinstance(count, numbers.Integral) or count < 0:
         raise StructureError(f"count must be an integer >= 0, got {count!r}")
+    check_cells((count, spec.width + 1), "the bridge paths")
     if method == "transfer":
         return _sample_transfer(spec, count, seed), {"method": "transfer"}
     if method == "mcmc":

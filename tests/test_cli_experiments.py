@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from zgff.experiments import (height_fluctuation_exponent, run_end_to_end,
 from zgff.mcmc import sample_equilibrium
 from zgff.rw import laplace_increment_law
 from zgff.scales import ScaleTable, estimate_height_prob
-from zgff.surface import SurfaceConfig, read_snapshot
+from zgff.surface import ModelParams, SurfaceConfig, read_snapshot
 from zgff.tension import estimate_tension
 
 
@@ -225,6 +226,87 @@ def test_surface_pipeline_runs_checkerboard_chain_at_small_L(tmp_path):
         written, _ = read_snapshot(tmp_path / f"snapshot_{i:05d}.snap",
                                    boundary=snap.boundary)
         assert np.array_equal(written.heights, snap.heights), i
+
+
+def test_on_snapshot_sees_the_default_snapshots():
+    # the hook gets the live int64 heights of snapshots 0, 1, ... in order;
+    # a copy of them equals the default int32 keep
+    params = ModelParams(p=2, beta=0.8, floor_spec=0)
+    snaps, _ = sample_equilibrium(params, 8, 60, 20, 10, seed=2)
+    kept, _ = sample_equilibrium(params, 8, 60, 20, 10, seed=2,
+                                 on_snapshot=lambda k, c: (k, c.heights.copy()))
+    assert [k for k, _ in kept] == [0, 1, 2, 3] and len(snaps) == 4
+    for (_, heights), snap in zip(kept, snaps):
+        assert heights.dtype == np.int64 and snap.heights.dtype == np.int32
+        assert np.array_equal(heights, snap.heights)
+
+
+def _streamed_endtoend_cfg(L, sweeps):
+    """beta = 0.8 over a floor at 0, one snapshot a sweep after one sweep of
+    burn-in: sweeps - 1 snapshots."""
+    return ExperimentConfig.default(**{
+        "pipeline.name": "endtoend", "model.beta": 0.8, "model.floor": "0",
+        "lattice.L": L, "run.sweeps": sweeps, "run.burnin": 1,
+        "run.thinning": 1})
+
+
+def test_endtoend_streamed_and_injected_snapshots_agree(tmp_path):
+    # the sampler's snapshots read as they are taken, and the same chain's
+    # snapshots handed in as an iterable, write the same bytes; level n = 1
+    # (height H - 1 = 1) has a top loop in at least 10 snapshots, so a KS
+    # value, and level n = 0 (height 2) in none
+    cfg = _streamed_endtoend_cfg(32, 31)
+    cfg.set("run", "levels", 2)
+    table = ScaleTable(L=32, H=2, N=[8.0, 27.0], L_h={}, bad_intervals=[],
+                       L_in_bad_set=False, threshold=0.1)
+    snaps, _ = sample_equilibrium(model_params_from(cfg), 32, 31, 1, 1,
+                                  cfg.get("run", "seed"), scan_order="checkerboard")
+    (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+    _, streamed = run_end_to_end(cfg, tmp_path / "a", scale_table=table)
+    _, injected = run_end_to_end(cfg, tmp_path / "b", snapshots=iter(snaps),
+                                 scale_table=table)
+    assert streamed == injected and streamed["n_snapshots"] == 30
+    assert streamed["ks_by_level"]["1"] is not None
+    rec = json.loads((tmp_path / "a" / "endtoend.json").read_text())
+    assert rec["snapshots_missing_level"]["0"] == list(range(30))
+    for name in ("profiles.csv", "endtoend.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_endtoend_peak_memory_does_not_grow_with_snapshots(tmp_path):
+    # L = 256: one int32 grid is 256 KiB, so holding every snapshot would add
+    # 50 grids (12.5 MiB) from 10 to 60 snapshots. The budget of 10 grids
+    # leaves room for the profile rows, which do grow with the count, and
+    # for the level-line transients, which vary from snapshot to snapshot.
+    table = ScaleTable(L=256, H=1, N=[8.0], L_h={}, bad_intervals=[],
+                       L_in_bad_set=False, threshold=0.1)
+    peaks = []
+    for n in (10, 60):
+        (tmp_path / str(n)).mkdir()
+        tracemalloc.start()
+        try:
+            run_end_to_end(_streamed_endtoend_cfg(256, n + 1), tmp_path / str(n),
+                           scale_table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 10 * 256 * 1024, peaks
+
+
+def test_cli_refuses_arrays_over_the_cell_budget(tmp_path, capsys):
+    # each would allocate terabytes or more: refused before the allocation,
+    # naming the shape, and the runner removes its out dir
+    for i, (cmd, text, shape) in enumerate((
+            ("rw-oracle", "[rw]\ntilt_n = 1e30\n", "the transfer window: shape ("),
+            ("rw-oracle", "[rw]\nsamples = 1000000000000\n",
+             "the bridge paths: shape (1000000000000, 1255)"),
+            ("fs", "[fs]\nsteps = 10000000000000\npaths = 1\n",
+             "the FS paths: shape (1, 10000000000001)"))):
+        path = tmp_path / f"big{i}.cfg"
+        path.write_text(text)
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / "big")]) == 4
+        assert not (tmp_path / "big").exists()
+        assert shape in capsys.readouterr().err, cmd
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -145,7 +145,6 @@ def test_sample_equilibrium_schedule():
     params = ModelParams(p=2, beta=1.5)
     snaps, diag = sample_equilibrium(params, 8, 10_000, 100, 100, seed=3)
     assert len(snaps) == 99
-    assert diag["n_snapshots"] == 99
     assert diag["autocorr_time_sweeps"] > 0
 
 
