@@ -177,9 +177,7 @@ class RunManifest:
     def save(self, path):
         payload = dict(self.comparable())
         payload["wall_clock_s"] = round(self.wall_clock_s, 3)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
     def check_artifacts(self, base_dir):
         missing = [a for a in self.artifacts
@@ -187,3 +185,10 @@ class RunManifest:
         if missing:
             raise ConfigError(f"manifest lists missing artifacts: {missing}")
         return True
+
+
+def write_json(path, obj):
+    """Every JSON artifact's format: indented, keys sorted, newline-ended."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -9,7 +9,6 @@ file is stamped with the config hash.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -18,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, RunManifest, model_params_from
+from .config import ExperimentConfig, RunManifest, model_params_from, write_json
 from .errors import ConfigError, DegenerateInputError, InfeasibleError
 from .fs import FSModel, fs_cdf, fs_density, ks_distance, sample_paths
 from .levellines import (extract_level_lines, loops_to_records, profile,
@@ -49,12 +48,6 @@ def _write_csv(path, cfg, header, rows):
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg.hash()}\n{header}\n")
         fh.writelines(",".join(map(_cell, r)) + "\n" for r in rows)
-
-
-def _json_dump(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _sample(cfg, params, on_snapshot):
@@ -156,7 +149,7 @@ def run_scales(cfg, out_dir):
               "sample_seed": hist.seed, "box_size": hist.box_size,
               "bulk_margin": hist.margin, "n_samples": hist.n_samples,
               "hits": {str(h): n for h, n in sorted(hist.hits.items())}}
-    _json_dump(os.path.join(out_dir, "scales.json"), record)
+    write_json(os.path.join(out_dir, "scales.json"), record)
     summary = {"H": table.H, "L_in_bad_set": table.L_in_bad_set}
     return ["scale_table.csv", "scales.json"], summary
 
@@ -201,7 +194,7 @@ def run_rw_oracle(cfg, out_dir):
               "sigma2": law.y_variance, "tilt_N": N,
               "ks": {repr(t): round(v, 6) for t, v in rep["ks"].items()},
               "n_paths": rep["n"], "sampler": diag["method"]}
-    _json_dump(os.path.join(out_dir, "rw_ks.json"), record)
+    write_json(os.path.join(out_dir, "rw_ks.json"), record)
     summary = {"ks_mid": record["ks"][repr(0.0)], "law": law.source}
     return ["rw_marginals.csv", "rw_ks.json"], summary
 
@@ -224,7 +217,8 @@ def run_tension(cfg, out_dir):
 
 
 def run_levellines(cfg, out_dir):
-    """Extract loops at every level of each snapshot and export them."""
+    """Extract the loops at levels 1 through the top height + 1 of each
+    snapshot and export them."""
     seed = cfg.get("run", "seed")
 
     def extract(idx, snap):
@@ -239,7 +233,7 @@ def run_levellines(cfg, out_dir):
 
     by_snapshot, _ = _sample(cfg, model_params_from(cfg), extract)
     records = [rec for recs in by_snapshot for rec in recs]
-    _json_dump(os.path.join(out_dir, "loops.json"),
+    write_json(os.path.join(out_dir, "loops.json"),
                {"config_hash": cfg.hash(), "loops": records})
     n_macro = sum(1 for r in records if r["macroscopic"])
     return ["loops.json"], {"n_loops": len(records), "n_macroscopic": n_macro,
@@ -322,7 +316,7 @@ def run_end_to_end(cfg, out_dir, snapshots=None, scale_table=None):
         "regime": "observational: desk-scale L does not reach the asymptotic "
                   "regime; acceptance rests on the exact oracles",
     }
-    _json_dump(os.path.join(out_dir, "endtoend.json"), record)
+    write_json(os.path.join(out_dir, "endtoend.json"), record)
     summary = {"H": H, "ks_by_level": record["ks_by_level"],
                "cross_level_corr_Y0": cross,
                "n_snapshots": len(reads)}

@@ -25,7 +25,8 @@ from .errors import BuildError, InvalidConstraintError, StructureError
 from .surface import (ModelParams, SurfaceConfig, build_boundary,
                       conditional_tables)
 
-SCAN_ORDERS = ("raster", "checkerboard")
+# colour passes per sweep of each scan order (the C_COLOURS slot of _sweep.c)
+_COLOURS = {"raster": 1, "checkerboard": 2}
 
 _BLOCK_TARGET = 1 << 16
 
@@ -76,24 +77,33 @@ class ChainState:
     scan_order: str = "raster"
 
     def __post_init__(self):
-        if self.scan_order not in SCAN_ORDERS:
+        if self.scan_order not in _COLOURS:
             raise StructureError(f"unknown scan order {self.scan_order!r}")
 
 
-def _check_sweeps(n_sweeps):
-    """The sweep-count rule of every chain runner: n_sweeps < 0 raises
-    StructureError."""
+def _sweeps(grid, params, seed, start, n_sweeps, scan_order, lo, hi):
+    """The one sweep loop of every chain: sweeps start, ..., start +
+    n_sweeps - 1 of seed's stream, run in place on grid, a C-contiguous
+    (B, L+2, L+2) int64 batch, by a _Sweep with bounds lo and hi. Yields the
+    sweep count after each. n_sweeps < 0 raises StructureError."""
     if n_sweeps < 0:
         raise StructureError(f"n_sweeps must be >= 0, got {n_sweeps}")
+    B, W, _ = grid.shape
+    L = W - 2
+    sweep = _Sweep(_kernel(params), grid.reshape(-1), L, B, scan_order, lo, hi)
+    address = UniformStream(seed, L * L).address
+    for t in range(start, start + n_sweeps):
+        sweep(address(t))
+        yield t + 1
 
 
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
 
-    A sweep is one call of the compiled routine (_Sweep), which walks the
-    scan: checkerboard colour by colour (even x + y first), raster row by row
-    (row-major), each site drawn from its exact conditional by the kernel of
-    (p, beta).
+    The sweeps are those of _sweeps on a batch of one: each is one call of
+    the compiled routine, which walks the scan: checkerboard colour by colour
+    (even x + y first), raster row by row (row-major), each site drawn from
+    its exact conditional by the kernel of (p, beta).
 
     The chain runs on one padded grid built by config.padded(). on_sweep, if
     given, is called after each sweep as on_sweep(sweep_count, heights), where
@@ -103,19 +113,15 @@ def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
     InvalidConstraintError, and a C compiler that is missing or fails on
     first use BuildError (see _build).
     """
-    _check_sweeps(n_sweeps)
     cfg = state.config
     L = cfg.L
-    us = UniformStream(state.seed, L * L)
     padded = cfg.padded()
     heights = padded[1:L + 1, 1:L + 1]
-    sweep = _Sweep(_kernel(params), padded.reshape(-1), L, 1, state.scan_order,
-                   cfg.floor, cfg.ceiling)
-    for _ in range(n_sweeps):
-        sweep(us.address(state.sweep_count))
-        state.sweep_count += 1
+    for t in _sweeps(padded[None], params, state.seed, state.sweep_count,
+                     n_sweeps, state.scan_order, cfg.floor, cfg.ceiling):
+        state.sweep_count = t
         if on_sweep is not None:
-            on_sweep(state.sweep_count, heights)
+            on_sweep(t, heights)
     cfg.heights[:, :] = heights
     return state
 
@@ -341,7 +347,7 @@ class _Sweep:
                  else (_ARRAY_BOUND, b.ctypes.data) if isinstance(b, np.ndarray)
                  else (_SCALAR_BOUND, int(b)) for b in bounds]
         self.ctx = np.array([kernel.desc.ctypes.data, flat.ctypes.data, L, B,
-                             2 if scan_order == "checkerboard" else 1,
+                             _COLOURS[scan_order],
                              *kinds[0], *kinds[1]], dtype=np.int64)
         self._ctx = self.ctx.ctypes.data
         self._call = _library().zgff_sweep
@@ -360,29 +366,31 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     raster sweeps of every replica, each replica's site (x, y) reading the
     sweep's uniform y*L + x.
 
-    pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included).
+    pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included) of one
+    shape, swept as one batch of 2B replicas, lo first. A bound (an int or
+    an array broadcasting to (B, L, L)) is given on both sides or neither.
     Returns the number of (pair, site) order violations seen after any sweep
-    (0 is the contract). n_sweeps < 0 raises StructureError.
+    (0 is the contract). Pads of two shapes, a one-sided bound and
+    n_sweeps < 0 raise StructureError.
     """
-    _check_sweeps(n_sweeps)
+    if pad_lo.shape != pad_up.shape:
+        raise StructureError(f"pads of two shapes, {pad_lo.shape} and {pad_up.shape}")
     B, W, _ = pad_lo.shape
     L = W - 2
-    kernel = _kernel(params)
-    grids = [np.ascontiguousarray(pad, dtype=np.int64) for pad in (pad_lo, pad_up)]
-    sweeps = [_Sweep(kernel, grid.reshape(-1), L, B, "raster", lo, hi)
-              for grid, lo, hi in zip(grids, (floors_lo, floors_up),
-                                      (ceilings_lo, ceilings_up))]
-    us = UniformStream(seed, L * L)
-    inner = np.s_[:, 1:L + 1, 1:L + 1]
+    bounds = []
+    for name, sides in (("floors", (floors_lo, floors_up)),
+                        ("ceilings", (ceilings_lo, ceilings_up))):
+        if (sides[0] is None) != (sides[1] is None):
+            raise StructureError(f"{name}_lo/{name}_up: give both sides or neither")
+        bounds.append(None if sides[0] is None else
+                      np.concatenate([np.broadcast_to(b, (B, L, L)) for b in sides]))
+    grid = np.concatenate([pad_lo, pad_up]).astype(np.int64, copy=False)
+    heights = grid[:, 1:L + 1, 1:L + 1]
     violations = 0
-    for t in range(n_sweeps):
-        u = us.address(t)
-        for sweep in sweeps:
-            sweep(u)
-        violations += int((grids[0][inner] > grids[1][inner]).sum())
-    for pad, grid in zip((pad_lo, pad_up), grids):
-        if grid is not pad:
-            pad[...] = grid
+    for _ in _sweeps(grid, params, seed, 0, n_sweeps, "raster", *bounds):
+        violations += int((heights[:B] > heights[B:]).sum())
+    pad_lo[...] = grid[:B]
+    pad_up[...] = grid[B:]
     return violations
 
 
@@ -397,10 +405,13 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     the chain's live int64 heights that is valid only during the call; by
     default it is kept as an int32 copy with its own boundary dict. Returns
     (on_snapshot's results in order, diagnostics) where diagnostics carries
-    the mean-height trace and an autocorrelation estimate of it.
+    the mean-height trace and an autocorrelation estimate of it. An initial
+    configuration whose side is not L raises StructureError.
     """
     if not (sweeps > burn_in >= 0 and thinning >= 1):
         raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
+    if initial is not None and initial.L != L:
+        raise StructureError(f"initial configuration of side {initial.L}, not L = {L}")
     if initial is None:
         initial = SurfaceConfig.flat(L, value=_flat_start(params),
                                      boundary=build_boundary(params.boundary_spec, L),
@@ -445,16 +456,12 @@ def _pair(params, L, boundary, low, top, seed, start, n_sweeps, on_sweep=None):
     sweep as on_sweep(sweep_count, heights), heights the (2, L, L) interior
     view, [0] the low chain. Returns the (2, L+2, L+2) grid; n_sweeps < 0
     raises StructureError."""
-    _check_sweeps(n_sweeps)
     grid = np.stack([SurfaceConfig.flat(L, v, boundary).padded() for v in (low, top)])
-    sweep = _Sweep(_kernel(params), grid.reshape(-1), L, 2, "raster",
-                   params.floor_spec, params.ceiling_spec)
-    us = UniformStream(seed, L * L)
     heights = grid[:, 1:L + 1, 1:L + 1]
-    for t in range(start, start + n_sweeps):
-        sweep(us.address(t))
+    for t in _sweeps(grid, params, seed, start, n_sweeps, "raster",
+                     params.floor_spec, params.ceiling_spec):
         if on_sweep is not None:
-            on_sweep(t + 1, heights)
+            on_sweep(t, heights)
     return grid
 
 

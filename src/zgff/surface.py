@@ -133,7 +133,8 @@ class SurfaceConfig:
                 self.height_at(x, y - 1), self.height_at(x, y + 1))
 
     def padded(self):
-        """(L+2)^2 array with the ring written into the border; corners 0."""
+        """(L+2)^2 int64 array: the heights inside, the ring's values in the
+        border, corners included (0 where the ring map has no corner)."""
         L = self.L
         g = np.zeros((L + 2, L + 2), dtype=np.int64)
         g[1:L + 1, 1:L + 1] = self.heights
@@ -152,19 +153,6 @@ def _bound_at(b, x, y):
     if isinstance(b, np.ndarray):
         return int(b[x, y])
     return int(b)
-
-
-def energy(config: SurfaceConfig, params: ModelParams) -> float:
-    """beta * sum |phi_x - phi_y|^p over interior-interior and
-    interior-boundary nearest-neighbor pairs. Deterministic; boundary-only
-    pairs are excluded."""
-    L = config.L
-    g = config.padded().astype(np.float64)
-    # Horizontal pairs in interior rows span ring-interior...interior-ring;
-    # same for vertical pairs in interior columns. Ring-ring pairs never enter.
-    dh = np.abs(np.diff(g[:, 1:L + 1], axis=0))
-    dv = np.abs(np.diff(g[1:L + 1, :], axis=1))
-    return params.beta * float(np.sum(dh ** params.p) + np.sum(dv ** params.p))
 
 
 class DiscreteDist:

@@ -261,6 +261,31 @@ def test_sweeps_burnin_validation():
     assert coupled_batch_run(pad, pad.copy(), params, 1, 0) == 0
 
 
+def test_sample_equilibrium_refuses_an_initial_of_another_side():
+    # an initial of side 4 under L = 8 would label (4, 4) heights as L = 8
+    params = ModelParams(p=2, beta=1, floor_spec=0)
+    with pytest.raises(StructureError, match="side 4"):
+        sample_equilibrium(params, 8, 6, 2, 2, 1,
+                           initial=SurfaceConfig.flat(4, floor=0))
+
+
+def test_coupled_batch_refuses_pads_of_two_shapes_and_one_sided_bounds():
+    # the two sides run as one 2B batch under one bound kind, so pads of two
+    # shapes and a bound given on one side only are refused before sweeping
+    params = ModelParams(p=2, beta=1.0)
+    pad_lo = np.zeros((2, 5, 5), dtype=np.int64)
+    with pytest.raises(StructureError):
+        coupled_batch_run(pad_lo, np.ones((3, 5, 5), dtype=np.int64), params, 1, 1)
+    for side, pair in (({"floors_lo": 0}, "floors"),
+                       ({"floors_up": np.zeros((3, 3))}, "floors"),
+                       ({"ceilings_lo": 2}, "ceilings"),
+                       ({"floors_lo": 0, "floors_up": 0, "ceilings_up": 2}, "ceilings")):
+        pad_up = pad_lo + 1
+        with pytest.raises(StructureError, match=f"{pair}_lo/{pair}_up"):
+            coupled_batch_run(pad_lo, pad_up, params, 1, 1, **side)
+        assert not pad_lo.any() and (pad_up == 1).all()
+
+
 def _reference_sweep(cfg, params, u, scan):
     """Scalar sweep drawn by local_conditional(...).quantile(u): row-major for
     raster; for checkerboard, every site of the even colour, then every site

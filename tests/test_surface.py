@@ -8,56 +8,8 @@ from hypothesis import strategies as st
 
 from zgff.errors import ConfigError, InvalidConstraintError, StructureError
 from zgff.surface import (ModelParams, SurfaceConfig, build_boundary,
-                          conditional_tables, energy,
-                          local_conditional,
+                          conditional_tables, local_conditional,
                           read_snapshot, ring_sites, write_snapshot)
-
-
-def test_energy_flat_zero():
-    cfg = SurfaceConfig.flat(4)
-    assert energy(cfg, ModelParams(p=2, beta=3)) == 0.0
-    assert energy(cfg, ModelParams(p=1.5, beta=0.7)) == 0.0
-
-
-def test_energy_single_site_examples():
-    cfg = SurfaceConfig.flat(4)
-    cfg.heights[1, 1] = 1
-    assert energy(cfg, ModelParams(p=2, beta=2)) == pytest.approx(8.0)
-    cfg.heights[1, 1] = 2
-    assert energy(cfg, ModelParams(p=3, beta=1)) == pytest.approx(32.0)
-
-
-def _rotate_config(cfg):
-    """Rotate heights and boundary together by 90 degrees."""
-    L = cfg.L
-    rot = SurfaceConfig.flat(L)
-    for x in range(L):
-        for y in range(L):
-            rot.heights[L - 1 - y, x] = cfg.heights[x, y]
-    rot.boundary = {(L - 1 - y, x): v for (x, y), v in cfg.boundary.items()}
-    return rot
-
-
-def _reflect_config(cfg):
-    L = cfg.L
-    ref = SurfaceConfig.flat(L)
-    ref.heights[:, :] = cfg.heights[::-1, :]
-    ref.boundary = {(L - 1 - x, y): v for (x, y), v in cfg.boundary.items()}
-    return ref
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_energy_lattice_symmetries(seed):
-    rng = np.random.default_rng(seed)
-    L = 4
-    cfg = SurfaceConfig.flat(L)
-    cfg.heights[:, :] = rng.integers(-2, 3, size=(L, L))
-    cfg.boundary = {s: int(rng.integers(-2, 3)) for s in ring_sites(L)}
-    params = ModelParams(p=float(rng.choice([1.0, 1.5, 2.0, 3.0])), beta=1.3)
-    e = energy(cfg, params)
-    assert energy(_rotate_config(cfg), params) == pytest.approx(e, rel=1e-12)
-    assert energy(_reflect_config(cfg), params) == pytest.approx(e, rel=1e-12)
 
 
 def test_conditional_p0_series_oracle():
@@ -190,6 +142,16 @@ def test_build_boundary_all():
     bnd = build_boundary(("all", 0), 4)
     assert set(bnd) == set(ring_sites(4))
     assert all(v == 0 for v in bnd.values())
+
+
+def test_padded_corners_come_from_the_ring():
+    cfg = SurfaceConfig.flat(3, value=1, boundary=build_boundary(("all", 5), 3))
+    g = cfg.padded()
+    assert g.dtype == np.int64 and g.shape == (5, 5)
+    assert (g[1:4, 1:4] == 1).all()
+    ring = np.ones((5, 5), dtype=bool)
+    ring[1:4, 1:4] = False
+    assert (g[ring] == 5).all()  # corners included
 
 
 def test_model_params_refuse_p_and_beta_out_of_range():
