@@ -22,10 +22,12 @@
  *
  * The bridge samplers (zgff.rw) also run on buffers that Python owns.
  * zgff_bridge_draw takes one column step of the transfer sampler for every
- * path. zgff_bridge_mcmc runs the whole single-column Metropolis chain and
- * draws its randomness exactly as numpy's default Generator does (PCG64 and
- * its 32-bit buffer, Lemire's bounded integers, 53-bit doubles), so it
- * reproduces the samples of the numpy loop it replaced bit for bit.
+ * path. zgff_bridge_mcmc runs the whole single-column Metropolis chain on
+ * the caller's numpy bit generator, called through its ctypes interface: its
+ * 32-bit words and 53-bit doubles are numpy's own, and the bounded integers
+ * are drawn from the 32-bit words by Lemire's method as Generator.integers
+ * draws them, so it reproduces the samples of the numpy loop it replaced bit
+ * for bit.
  *
  * Build with -O2 and without -ffast-math: the draws rely on the IEEE
  * compares cdf[i] <= u, u > cdf[i] and u < ratio.
@@ -169,82 +171,29 @@ int64_t zgff_sweep(const int64_t *ctx, const double *u, int64_t pos)
 }
 
 
-/* numpy's PCG64: a 128-bit LCG stepped before each XSL-RR output word, with
- * the state of Generator.bit_generator.state. A 32-bit draw returns the low
- * half of a fresh word and keeps the high half for the next 32-bit draw; a
- * 64-bit draw leaves that half alone. */
-typedef struct {
-    unsigned __int128 state, inc;
-    int has32;
-    uint32_t half;
-} pcg64;
-
-enum { S_STATE_HI, S_STATE_LO, S_INC_HI, S_INC_LO, S_HAS32, S_HALF };
-
-static pcg64 pcg64_seeded(const uint64_t *s)
-{
-    pcg64 g;
-    g.state = (unsigned __int128)s[S_STATE_HI] << 64 | s[S_STATE_LO];
-    g.inc = (unsigned __int128)s[S_INC_HI] << 64 | s[S_INC_LO];
-    g.has32 = s[S_HAS32] != 0;
-    g.half = (uint32_t)s[S_HALF];
-    return g;
-}
-
-static inline uint64_t pcg64_next64(pcg64 *g)
-{
-    const unsigned __int128 mult =
-        (unsigned __int128)2549297995355413924u << 64 | 4865540595714422341u;
-    g->state = g->state * mult + g->inc;
-    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    const unsigned rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << ((64 - rot) & 63));
-}
-
-static inline uint32_t pcg64_next32(pcg64 *g)
-{
-    if (g->has32) {
-        g->has32 = 0;
-        return g->half;
-    }
-    const uint64_t w = pcg64_next64(g);
-    g->has32 = 1;
-    g->half = (uint32_t)(w >> 32);
-    return (uint32_t)w;
-}
+/* numpy's bit generator as its BitGenerator.ctypes interface gives it: the
+ * state address and the 32-bit and double draws on that state. */
+typedef uint32_t (*next_uint32_fn)(void *);
+typedef double (*next_double_fn)(void *);
 
 /* Generator.integers(0, n) for 1 <= n < 2^32: Lemire's multiply-and-reject
  * draw on 32-bit words, with numpy's rejection threshold; n = 1 draws no
- * word. */
-static inline int64_t pcg64_below(pcg64 *g, uint32_t n)
+ * word. numpy exports no bounded draw through ctypes, so it is kept here. */
+static inline int64_t draw_below(void *state, next_uint32_fn next_uint32,
+                                 uint32_t n)
 {
     if (n == 1)
         return 0;
-    uint64_t m = (uint64_t)pcg64_next32(g) * n;
+    uint64_t m = (uint64_t)next_uint32(state) * n;
     uint32_t left = (uint32_t)m;
     if (left < n) {
         const uint32_t threshold = (UINT32_MAX - (n - 1)) % n;
         while (left < threshold) {
-            m = (uint64_t)pcg64_next32(g) * n;
+            m = (uint64_t)next_uint32(state) * n;
             left = (uint32_t)m;
         }
     }
     return (int64_t)(m >> 32);
-}
-
-/* Generator.random(): the top 53 bits of a word, scaled to [0, 1). */
-static inline double pcg64_uniform(pcg64 *g)
-{
-    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* The first n 64-bit words of the stream of seed (slots S_*), as
- * Generator.bit_generator.random_raw(n) gives them. */
-void zgff_pcg64_raw(const uint64_t *seed, uint64_t *out, int64_t n)
-{
-    pcg64 g = pcg64_seeded(seed);
-    for (int64_t i = 0; i < n; i++)
-        out[i] = pcg64_next64(&g);
 }
 
 /* One column step of the transfer sampler for count paths: the path whose
@@ -273,8 +222,9 @@ enum { M_PATH, M_W, M_FLOOR, M_CEILING, M_RATIO, M_DMIN, M_SPAN, M_SAMPLES,
        M_COUNT, M_BURN_IN, M_THIN, M_COLS, M_SIGNS, M_UNIFORMS, M_TALLY };
 
 /* The single-column Metropolis chain of rw._sample_mcmc on the path
- * y[0..W] (slots M_*), seeded by the Generator state seed (slots S_*).
- * Each of its burn_in + count thin sweeps draws, like
+ * y[0..W] (slots M_*), drawing from numpy's bit generator through its state
+ * and its next_uint32 and next_double functions, which the caller keeps
+ * alive for the call. Each of its burn_in + count thin sweeps draws, like
  *   cols = integers(1, W, W - 1); signs = integers(0, 2, W - 1);
  *   us = random(W - 1)
  * into the caller's three buffers of W - 1 entries (a sign draw 0 moves
@@ -285,7 +235,8 @@ enum { M_PATH, M_W, M_FLOOR, M_CEILING, M_RATIO, M_DMIN, M_SPAN, M_SAMPLES,
  * us[i] < r (a negative r marks a move that leaves the law's support).
  * After the burn-in, every thin-th sweep copies the path to the next row of
  * samples. tally receives (accepts, proposals). W - 1 must be below 2^32. */
-void zgff_bridge_mcmc(const int64_t *d, const uint64_t *seed)
+void zgff_bridge_mcmc(const int64_t *d, void *state,
+                      next_uint32_fn next_uint32, next_double_fn next_double)
 {
     int64_t *y = (int64_t *)(intptr_t)d[M_PATH];
     const int64_t W = d[M_W], floor = d[M_FLOOR], ceiling = d[M_CEILING];
@@ -299,15 +250,14 @@ void zgff_bridge_mcmc(const int64_t *d, const uint64_t *seed)
     double *us = (double *)(intptr_t)d[M_UNIFORMS];
     int64_t *tally = (int64_t *)(intptr_t)d[M_TALLY];
     const int64_t n = W - 1;
-    pcg64 g = pcg64_seeded(seed);
     int64_t accepts = 0, proposals = 0;
     for (int64_t s = 0; s < sweeps; s++) {
         for (int64_t i = 0; i < n; i++)
-            cols[i] = 1 + pcg64_below(&g, (uint32_t)n);
+            cols[i] = 1 + draw_below(state, next_uint32, (uint32_t)n);
         for (int64_t i = 0; i < n; i++)
-            signs[i] = pcg64_below(&g, 2);
+            signs[i] = draw_below(state, next_uint32, 2);
         for (int64_t i = 0; i < n; i++)
-            us[i] = pcg64_uniform(&g);
+            us[i] = next_double(state);
         for (int64_t i = 0; i < n; i++) {
             const int64_t c = cols[i], yc = y[c], ynew = yc + 2 * signs[i] - 1;
             if (ynew < floor || ynew > ceiling)

@@ -36,9 +36,15 @@ class FSModel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise StructureError(f"sigma must be positive, got {self.sigma}")
+        try:
+            c = self.scale
+        except ArithmeticError:   # sigma^2 underflows to 0 or overflows
+            c = math.inf
+        if not 0 < c < math.inf:
+            raise StructureError(f"sigma = {self.sigma} puts the scale "
+                                 "(2/sigma^2)^(1/3) out of the float range")
         self.omega1 = w1 = OMEGA1
         self.ai_prime_at_minus_omega1 = airy(-w1)[1]
-        c = self.scale
         # Ai(u)^2 ~ exp(-(4/3) u^(3/2)): u = 14 leaves ~1e-31 of mass outside
         self.x_max = (w1 + 14.0) / c
         self.x_grid = np.linspace(0.0, self.x_max, CDF_GRID_POINTS)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError, InvalidConstraintError, StructureError
+from .errors import (BuildError, InvalidConstraintError, StructureError,
+                     check_cells)
 from .surface import (ModelParams, SurfaceConfig, build_boundary,
                       conditional_tables)
 
@@ -147,11 +148,9 @@ def _library():
         lib.zgff_sweep.restype = i64
         lib.zgff_probe.argtypes = (ptr, i64, ptr)
         lib.zgff_probe.restype = i64
-        lib.zgff_pcg64_raw.argtypes = (ptr, ptr, i64)
-        lib.zgff_pcg64_raw.restype = None
         lib.zgff_bridge_draw.argtypes = (ptr, i64, ptr, ptr, ptr, i64, i64)
         lib.zgff_bridge_draw.restype = i64
-        lib.zgff_bridge_mcmc.argtypes = (ptr, ptr)
+        lib.zgff_bridge_mcmc.argtypes = (ptr, ptr, ptr, ptr)
         lib.zgff_bridge_mcmc.restype = None
         _LIB = lib
     return _LIB
@@ -249,6 +248,7 @@ class _Kernel:
         if params.p == 2:
             self.R = self._p2_radius()
             w = 2 * self.R + 1
+            check_cells((4 * w, w), "the p = 2 key table")
             self.lookup = np.full(4 * w * w, -1, dtype=np.int64)
         else:
             self.lookup = np.full((64, 6), -1, dtype=np.int64)

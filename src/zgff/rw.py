@@ -264,17 +264,6 @@ def _sample_transfer(spec, count, seed):
     return out
 
 
-def _stream_seed(seed):
-    """The state of np.random.default_rng(seed) in the slots S_* of
-    _sweep.c: state and increment as (high, low) 64-bit words, then the
-    32-bit buffer's flag and value."""
-    st = np.random.default_rng(seed).bit_generator.state
-    s, inc = st["state"]["state"], st["state"]["inc"]
-    low = (1 << 64) - 1
-    return np.array([s >> 64, s & low, inc >> 64, inc & low, st["has_uint32"],
-                     st["uinteger"]], dtype=np.uint64)
-
-
 def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     """Single-column +-1 Metropolis on the height path (for unit-step laws a
     corner flip is such a move). Irreducible: any path can reach the minimal
@@ -283,9 +272,11 @@ def _sample_mcmc(spec, count, seed, sweeps_per_sample):
     Each sweep proposes W - 1 moves, at columns rng.integers(1, W), signs
     (-1, 1)[rng.integers(0, 2)] and uniforms rng.random(), each drawn as one
     array per sweep from np.random.default_rng(seed). The chain runs in the
-    compiled library (zgff_bridge_mcmc), which reproduces that numpy stream
-    bit for bit; Python builds the start path and the Metropolis ratios and
-    reads the midpoint autocorrelation off the samples."""
+    compiled library (zgff_bridge_mcmc) on that generator, called through
+    its ctypes interface, and makes the bounded draws as numpy does, so the
+    samples are those of the numpy loop bit for bit; Python builds the start
+    path and the Metropolis ratios and reads the midpoint autocorrelation
+    off the samples."""
     dys = spec.law.dys.tolist()
     pstep = dict(zip(dys, spec.law.probs.tolist()))
     W = spec.width
@@ -316,8 +307,12 @@ def _sample_mcmc(spec, count, seed, sweeps_per_sample):
                      dmin, span, samples.ctypes.data, count, 10 * W,
                      sweeps_per_sample, cols.ctypes.data, signs.ctypes.data,
                      uniforms.ctypes.data, tally.ctypes.data], dtype=np.int64)
-    stream = _stream_seed(seed)
-    _library().zgff_bridge_mcmc(desc.ctypes.data, stream.ctypes.data)
+    # the ctypes interface holds raw addresses only: the local keeps the
+    # generator alive until the C call returns
+    bit_generator = np.random.default_rng(seed).bit_generator
+    stream = bit_generator.ctypes
+    _library().zgff_bridge_mcmc(desc.ctypes.data, stream.state_address,
+                                stream.next_uint32, stream.next_double)
     from .stats import integrated_autocorr_time
     accepts, proposals = tally.tolist()
     diag = {"method": "mcmc",

@@ -307,6 +307,11 @@ def test_cli_refuses_arrays_over_the_cell_budget(tmp_path, capsys):
         assert main([cmd, "--config", str(path), "--out", str(tmp_path / "big")]) == 4
         assert not (tmp_path / "big").exists()
         assert shape in capsys.readouterr().err, cmd
+    # the p = 2 key table grows like 1/beta^2 cells
+    assert main(["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1",
+                 "--thin", "1", "--beta", "1e-4", "--out", str(tmp_path / "big")]) == 4
+    assert not (tmp_path / "big").exists()
+    assert "the p = 2 key table: shape (345396, 86349)" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -335,9 +340,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a value outside the range of the rw or fs runner -> config error from
     # the runner, which removes its out dir; [fs] steps below [fs] paths leaves
     # no step per path
-    ranges = [tmp_path / f"range{i}.cfg" for i in range(3)]
+    ranges = [tmp_path / f"range{i}.cfg" for i in range(6)]
     for path, text in zip(ranges, ("[rw]\ntilt_n = -5\n", "[fs]\nsteps = -10\n",
-                                   "[fs]\nsteps = 10\n")):
+                                   "[fs]\nsteps = 10\n", "[fs]\nsigma = 1e-300\n",
+                                   "[fs]\nsigma = 1e-160\n", "[fs]\nsigma = 1e155\n")):
         path.write_text(text)
     # a --config path that cannot be read as text -> config error naming it
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00[run]")
@@ -357,7 +363,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  *(["endtoend", "--config", str(t)] for t in typos),
                  *(["scales", "--config", str(t)] for t in
                    (tmp_path / "nonexistent.cfg", tmp_path, tmp_path / "binary.cfg")),
-                 *([cmd, "--config", str(t)] for cmd, t in zip(("rw-oracle", "fs", "fs"), ranges))):
+                 *([cmd, "--config", str(t)] for cmd, t in
+                   zip(("rw-oracle", "fs", "fs", "fs", "fs", "fs"), ranges))):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
     err = capsys.readouterr().err
@@ -369,6 +376,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         "[model] p must be finite",
                                         "[fs] sigma must be finite",
                                         "tilt N must be finite and > 0", "n_steps >= 1",
+                                        "sigma = 1e-300", "sigma = 1e-160",
+                                        "sigma = 1e+155",
                                         "nonexistent.cfg", f"{str(tmp_path)!r}",
                                         "binary.cfg"))
 

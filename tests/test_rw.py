@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from zgff import mcmc
 from zgff.errors import DegenerateInputError, InfeasibleError, StructureError
 from zgff.fs import FSModel, fs_quantile
-from zgff.rw import (IncrementLaw, TiltedBridgeSpec, _stream_seed,
-                     basic_increment_law, enumerate_bridge, fs_bridge_spec,
-                     fs_comparison, laplace_increment_law, sample_tilted_bridge,
+from zgff.rw import (IncrementLaw, TiltedBridgeSpec, basic_increment_law,
+                     enumerate_bridge, fs_bridge_spec, fs_comparison,
+                     laplace_increment_law, sample_tilted_bridge,
                      transfer_matrix_exact)
 from zgff.surface import TRUNCATION_EPS
 from zgff.tension import log_partition_directed
@@ -219,14 +218,18 @@ def _sha256(paths):
                           .tobytes()).hexdigest()
 
 
-def test_compiled_pcg64_words_match_numpy():
-    out = np.empty(1000, dtype=np.uint64)
-    for seed in (0, 3, 11, 2 ** 70 + 5):
-        stream = _stream_seed(seed)
-        mcmc._library().zgff_pcg64_raw(stream.ctypes.data, out.ctypes.data,
-                                        len(out))
-        raw = np.random.default_rng(seed).bit_generator.random_raw(len(out))
-        assert np.array_equal(out, raw)
+def test_mcmc_sampler_keeps_its_generator_alive():
+    # the chain reaches numpy's generator through raw addresses; generators
+    # made between calls take the memory of one freed before its chain ends.
+    # Each call is the pinned oracle_small bridge above.
+    spec = TiltedBridgeSpec(u=(0, 2), v=(12, 2), floor=0, tilt_N=6.0,
+                            law=basic_increment_law(0.25), ceiling=20)
+    for _ in range(20):
+        fresh = [np.random.default_rng(k) for k in range(8)]
+        samples, _ = sample_tilted_bridge(spec, 5000, 3, method="mcmc",
+                                          mcmc_sweeps_per_sample=6)
+        assert _sha256(samples) == ("873d8b1617c37266e70fd52cd28579dea86c471e"
+                                    "da9b9d8545441456d50cf5f3")
 
 
 # bridges whose Metropolis samples (count, seed, sweeps per sample) were
