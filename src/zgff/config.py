@@ -135,16 +135,20 @@ class ExperimentConfig:
 
 def model_params_from(cfg: ExperimentConfig):
     """The [model] section as ModelParams: boundary all:K, floor and ceiling
-    an integer or none. ConfigError names a malformed value, and
-    InvalidConstraintError a floor above the ceiling."""
+    an integer or none. ConfigError names a malformed value or one outside
+    the int32 range snapshots store heights in, and InvalidConstraintError a
+    floor above the ceiling."""
     from .surface import ModelParams
 
     def integer(key, text):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise ConfigError(f"[model] {key}: cannot parse "
                               f"{cfg.get('model', key)!r}") from None
+        if not -2 ** 31 <= value < 2 ** 31:
+            raise ConfigError(f"[model] {key}: {value} is outside the int32 range")
+        return value
 
     bspec = cfg.get("model", "boundary")
     if not bspec.startswith("all:"):

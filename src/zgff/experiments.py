@@ -55,8 +55,7 @@ def _sample(cfg, params, on_snapshot):
     return sample_equilibrium(
         params, cfg.get("lattice", "L"), cfg.get("run", "sweeps"),
         cfg.get("run", "burnin"), cfg.get("run", "thinning"),
-        cfg.get("run", "seed"), scan_order="checkerboard",
-        on_snapshot=on_snapshot)
+        cfg.get("run", "seed"), on_snapshot=on_snapshot)
 
 
 def _increment_law(cfg):
@@ -184,7 +183,7 @@ def run_rw_oracle(cfg, out_dir):
     heights, marg = transfer_matrix_exact(spec)
     _write_csv(os.path.join(out_dir, "rw_marginals.csv"), cfg,
                "t,height,probability",
-               (((col - W // 2) / win, int(h), p)
+               (((col - W // 2) / N ** (2.0 / 3.0), int(h), p)
                 for col in (W // 2 - win, W // 2, W // 2 + win)
                 for h, p in zip(heights, marg[col]) if p > 1e-15))
     paths, diag = sample_tilted_bridge(spec, cfg.get("rw", "samples"), seed,
@@ -360,7 +359,6 @@ def fluctuation_scale(L, beta, p, n_snapshots, seed, warm_height=1):
 
     hits, diag = sample_equilibrium(params, L, n_snapshots * 4 + 80, 80, 4,
                                     seed=seed, initial=init,
-                                    scan_order="checkerboard",
                                     on_snapshot=lowest_hit)
     rho0 = [r for hit in hits for r in hit]
     return {"L": L, "n_used": len(rho0), "n_missing": len(hits) - len(rho0),

@@ -118,11 +118,19 @@ def sample_paths(model: FSModel, n_paths, n_steps, dt, x0, seed):
 
     The drift is evaluated through a dense table of x*drift(x) (smooth at 0,
     value sigma^2), which keeps the sampler exact to interpolation error
-    while allowing ensemble steps. Needs x0 > 0, dt > 0 and n_steps >= 1
-    (StructureError otherwise).
+    while allowing ensemble steps. Needs 0 < x0 < x_max, n_steps >= 1 and
+    0 < dt <= 1 / (sigma c)^2, the diffusion's own time scale (StructureError
+    otherwise).
     """
     if not (x0 > 0 and dt > 0):
         raise StructureError(f"need x0 > 0 and dt > 0, got x0={x0}, dt={dt}")
+    if x0 >= model.x_max:
+        raise StructureError(f"x0 = {x0} is not below x_max = {model.x_max:.3g} "
+                             f"of sigma = {model.sigma}")
+    rate = (model.sigma * model.scale) ** 2   # 1 / the diffusion's time scale
+    if dt * rate > 1:
+        raise StructureError(f"dt = {dt} is longer than the time scale "
+                             f"1/(sigma c)^2 = {1 / rate:.3g} of sigma = {model.sigma}")
     if n_steps < 1:
         raise StructureError(f"need n_steps >= 1, got {n_steps}")
     check_cells((n_paths, n_steps + 1), "the FS paths")

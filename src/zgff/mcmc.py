@@ -75,7 +75,7 @@ class ChainState:
     config: SurfaceConfig
     seed: int
     sweep_count: int = 0
-    scan_order: str = "raster"
+    scan_order: str = "checkerboard"
 
     def __post_init__(self):
         if self.scan_order not in _COLOURS:
@@ -99,7 +99,7 @@ def _sweeps(grid, params, seed, start, n_sweeps, scan_order, lo, hi):
 
 
 def run_chain(state: ChainState, params: ModelParams, n_sweeps, on_sweep=None):
-    """Advance a chain by n_sweeps systematic sweeps, raster or checkerboard.
+    """Advance a chain by n_sweeps systematic sweeps of state.scan_order.
 
     The sweeps are those of _sweeps on a batch of one: each is one call of
     the compiled routine, which walks the scan: checkerboard colour by colour
@@ -363,8 +363,8 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
                       floors_lo=None, floors_up=None,
                       ceilings_lo=None, ceilings_up=None):
     """Run n_sweeps of the shared-uniform coupling on a batch of ordered pairs:
-    raster sweeps of every replica, each replica's site (x, y) reading the
-    sweep's uniform y*L + x.
+    checkerboard sweeps of every replica, each replica's site (x, y) reading
+    the sweep's uniform y*L + x.
 
     pad_lo/pad_up: (B, L+2, L+2) int64 padded grids (ring included) of one
     shape, swept as one batch of 2B replicas, lo first. A bound (an int or
@@ -387,7 +387,7 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
     grid = np.concatenate([pad_lo, pad_up]).astype(np.int64, copy=False)
     heights = grid[:, 1:L + 1, 1:L + 1]
     violations = 0
-    for _ in _sweeps(grid, params, seed, 0, n_sweeps, "raster", *bounds):
+    for _ in _sweeps(grid, params, seed, 0, n_sweeps, "checkerboard", *bounds):
         violations += int((heights[:B] > heights[B:]).sum())
     pad_lo[...] = grid[:B]
     pad_up[...] = grid[B:]
@@ -395,9 +395,10 @@ def coupled_batch_run(pad_lo, pad_up, params, seed, n_sweeps,
 
 
 def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
-                       initial=None, scan_order="raster", on_snapshot=None):
+                       initial=None, scan_order=ChainState.scan_order, on_snapshot=None):
     """Run a chain and emit (sweeps - burn_in) // thinning snapshots.
 
+    The chain sweeps by scan_order, checkerboard unless raster is named.
     Snapshots are taken at sweep counts burn_in + k*thinning, k = 1, 2, ...
     Without an initial configuration the chain starts flat at the integer
     floor (at 0 otherwise) inside the params' boundary ring. Snapshot k
@@ -406,10 +407,13 @@ def sample_equilibrium(params: ModelParams, L, sweeps, burn_in, thinning, seed,
     default it is kept as an int32 copy with its own boundary dict. Returns
     (on_snapshot's results in order, diagnostics) where diagnostics carries
     the mean-height trace and an autocorrelation estimate of it. An initial
-    configuration whose side is not L raises StructureError.
+    configuration whose side is not L raises StructureError, and a surface
+    or trace over the cell budget ResourceLimitError, before either is built.
     """
     if not (sweeps > burn_in >= 0 and thinning >= 1):
         raise StructureError("need sweeps > burn_in >= 0 and thinning >= 1")
+    check_cells((L, L), "the L x L surface")
+    check_cells((sweeps, 1), "the mean-height trace")
     if initial is not None and initial.L != L:
         raise StructureError(f"initial configuration of side {initial.L}, not L = {L}")
     if initial is None:
@@ -450,7 +454,7 @@ def _flat_start(params):
 
 def _pair(params, L, boundary, low, top, seed, start, n_sweeps, on_sweep=None):
     """The monotone coupling of two chains, run as the two replicas of one
-    raster batch: flat starts low and top (ints or (L, L) grids) inside
+    checkerboard batch: flat starts low and top (ints or (L, L) grids) inside
     boundary, sweeps start, ..., start + n_sweeps - 1 of seed's stream under
     the params' floor and ceiling. on_sweep, if given, is called after each
     sweep as on_sweep(sweep_count, heights), heights the (2, L, L) interior
@@ -458,7 +462,7 @@ def _pair(params, L, boundary, low, top, seed, start, n_sweeps, on_sweep=None):
     raises StructureError."""
     grid = np.stack([SurfaceConfig.flat(L, v, boundary).padded() for v in (low, top)])
     heights = grid[:, 1:L + 1, 1:L + 1]
-    for t in _sweeps(grid, params, seed, start, n_sweeps, "raster",
+    for t in _sweeps(grid, params, seed, start, n_sweeps, "checkerboard",
                      params.floor_spec, params.ceiling_spec):
         if on_sweep is not None:
             on_sweep(t, heights)

@@ -61,8 +61,7 @@ def estimate_height_prob(params: ModelParams, box_size, samples,
     if samples < 1:
         raise StructureError("need samples >= 1")
     burn_in, thinning = max(50, box_size), 2
-    state = ChainState(config=SurfaceConfig.flat(box_size), seed=seed,
-                       scan_order="checkerboard")
+    state = ChainState(config=SurfaceConfig.flat(box_size), seed=seed)
     d = max(1, box_size // 6)
     per_sweep = []
 

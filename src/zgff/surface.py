@@ -19,7 +19,8 @@ from math import exp, inf
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConstraintError, StructureError
+from .errors import (ConfigError, InfeasibleError, InvalidConstraintError,
+                     StructureError)
 
 SNAPSHOT_MAGIC = b"ZGFFSNAP"
 SNAPSHOT_VERSION = 1
@@ -180,7 +181,8 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
     the law of k - shift, so a draw is support0[bisect_right(cdf, u)] + shift.
     shift is the smallest neighbour, and the row depends only on the offsets
     from it (the conditional is covariant under common shifts), so a caller
-    that keeps rows keys them by those offsets."""
+    that keeps rows keys them by those offsets. An energy sum that overflows
+    a double (a large p far from a bound) raises InfeasibleError."""
     if floor is not None and ceiling is not None and floor > ceiling:
         raise InvalidConstraintError(f"floor {floor} > ceiling {ceiling}")
     n = sorted(int(v) for v in neighbors)
@@ -233,14 +235,19 @@ def conditional_tables(neighbors, floor, ceiling, params: ModelParams):
         (up_ks, up_ws), (down_ks, down_ws) = sides
         return down_ks[::-1] + [m] + up_ks, down_ws[::-1] + [wm] + up_ws, total
 
-    row = grow(clamp((n0[1] + n0[2]) // 2), 0)
-    if row is None:
-        # the weights underflow around the neighbours' median (a bound far
-        # from the neighbours): grow from the least-energy point instead,
-        # which lies between the clamped extreme neighbours since the energy
-        # is convex, and measure energies from it
-        m = min(range(clamp(n0[0]), clamp(n0[3]) + 1), key=energy)
-        row = grow(m, energy(m))
+    try:
+        row = grow(clamp((n0[1] + n0[2]) // 2), 0)
+        if row is None:
+            # the weights underflow around the neighbours' median (a bound far
+            # from the neighbours): grow from the least-energy point instead,
+            # which lies between the clamped extreme neighbours since the
+            # energy is convex, and measure energies from it
+            m = min(range(clamp(n0[0]), clamp(n0[3]) + 1), key=energy)
+            row = grow(m, energy(m))
+    except OverflowError:
+        raise InfeasibleError(
+            f"the |grad phi|^p energy overflows a double at p = {p} "
+            f"(neighbours {n}, floor {floor}, ceiling {ceiling})") from None
     support, weights, total = row
 
     probs = [x / total for x in weights]

@@ -307,11 +307,17 @@ def test_cli_refuses_arrays_over_the_cell_budget(tmp_path, capsys):
         assert main([cmd, "--config", str(path), "--out", str(tmp_path / "big")]) == 4
         assert not (tmp_path / "big").exists()
         assert shape in capsys.readouterr().err, cmd
-    # the p = 2 key table grows like 1/beta^2 cells
-    assert main(["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1",
-                 "--thin", "1", "--beta", "1e-4", "--out", str(tmp_path / "big")]) == 4
-    assert not (tmp_path / "big").exists()
-    assert "the p = 2 key table: shape (345396, 86349)" in capsys.readouterr().err
+    # the p = 2 key table grows like 1/beta^2 cells; the surface like L^2 and
+    # the mean-height trace like sweeps, both refused before the ring is built
+    for flag, value, shape in (
+            ("--beta", "1e-4", "the p = 2 key table: shape (345396, 86349)"),
+            ("--L", "1000000", "the L x L surface: shape (1000000, 1000000)"),
+            ("--sweeps", "100000000000000000000",
+             "the mean-height trace: shape (100000000000000000000, 1)")):
+        assert main(["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1",
+                     "--thin", "1", flag, value, "--out", str(tmp_path / "big")]) == 4
+        assert not (tmp_path / "big").exists()
+        assert shape in capsys.readouterr().err, flag
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -339,11 +345,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         path.write_text(text)
     # a value outside the range of the rw or fs runner -> config error from
     # the runner, which removes its out dir; [fs] steps below [fs] paths leaves
-    # no step per path
-    ranges = [tmp_path / f"range{i}.cfg" for i in range(6)]
+    # no step per path; a sigma whose x_max lies below x0, or whose time scale
+    # is shorter than dt, leaves no meaningful path
+    ranges = [tmp_path / f"range{i}.cfg" for i in range(8)]
     for path, text in zip(ranges, ("[rw]\ntilt_n = -5\n", "[fs]\nsteps = -10\n",
                                    "[fs]\nsteps = 10\n", "[fs]\nsigma = 1e-300\n",
-                                   "[fs]\nsigma = 1e-160\n", "[fs]\nsigma = 1e155\n")):
+                                   "[fs]\nsigma = 1e-160\n", "[fs]\nsigma = 1e155\n",
+                                   "[fs]\nsigma = 1e-100\npaths = 5\nsteps = 200\n",
+                                   "[fs]\nsigma = 1e154\npaths = 5\nsteps = 200\n")):
         path.write_text(text)
     # a --config path that cannot be read as text -> config error naming it
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00[run]")
@@ -355,7 +364,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["simulate", "--beta", "-1"],
                  *(["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1",
                     "--thin", "1", flag, value]
-                   for flag, value in (("--beta", "nan"), ("--beta", "inf"), ("--p", "nan"))),
+                   for flag, value in (("--beta", "nan"), ("--beta", "inf"), ("--p", "nan"),
+                                       ("--floor", "4000000000000000000"),
+                                       ("--floor", "100000000000000000000"),
+                                       ("--boundary", "all:100000000000000000000"))),
                  ["simulate", "--boundary", "split-arc:left"],
                  ["levellines", "--boundary", "split-arc:left,top"],
                  ["scales", "--boundary", "split-arc:top"],
@@ -364,7 +376,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                  *(["scales", "--config", str(t)] for t in
                    (tmp_path / "nonexistent.cfg", tmp_path, tmp_path / "binary.cfg")),
                  *([cmd, "--config", str(t)] for cmd, t in
-                   zip(("rw-oracle", "fs", "fs", "fs", "fs", "fs"), ranges))):
+                   zip(("rw-oracle", *["fs"] * 7), ranges))):
         assert main(argv + ["--out", str(tmp_path / "y")]) == 2, argv
     assert not (tmp_path / "y").exists()
     err = capsys.readouterr().err
@@ -378,6 +390,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                                         "tilt N must be finite and > 0", "n_steps >= 1",
                                         "sigma = 1e-300", "sigma = 1e-160",
                                         "sigma = 1e+155",
+                                        "x0 = 1.0 is not below x_max",
+                                        "dt = 0.001 is longer than the time scale",
+                                        "[model] floor: 4000000000000000000 is outside",
+                                        "[model] floor: 100000000000000000000 is outside",
+                                        "[model] boundary: 100000000000000000000 is outside",
                                         "nonexistent.cfg", f"{str(tmp_path)!r}",
                                         "binary.cfg"))
 
@@ -387,6 +404,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", str(crossed), "--out", str(tmp_path / "z")]) == 3
     assert not (tmp_path / "z").exists()
     assert "[model] floor 3 above ceiling 1" in capsys.readouterr().err
+
+    # a |grad phi|^p energy that overflows a double -> infeasible, naming p;
+    # a large p near the neighbours still runs
+    small = ["simulate", "--L", "4", "--sweeps", "3", "--burnin", "1", "--thin", "1"]
+    assert main(small + ["--p", "64", "--floor", "100000",
+                         "--out", str(tmp_path / "z")]) == 3
+    assert not (tmp_path / "z").exists()
+    assert "overflows a double at p = 64.0" in capsys.readouterr().err
+    assert main(small + ["--p", "1000", "--out", str(tmp_path / "z")]) == 0
 
     # a runner that fails removes the out dir it made, not one that existed
     assert main(["scales", "--beta", "0.9", "--L", "100000",

@@ -385,27 +385,23 @@ def test_sweep_visits_every_site_once_in_scan_order(L):
         assert all((x + y) % colours == c for c, x, y in order)
 
 
-def _raster_batch_reference(pad, floors, ceilings, params, seed, n_sweeps,
-                            start=0):
-    """Scalar raster sweeps start, ..., start + n_sweeps - 1 of every replica
-    with the shared uniforms; a replica's floors or ceilings may be None."""
-    B, W, _ = pad.shape
-    L = W - 2
+def _batch_reference(pad, floors, ceilings, params, seed, n_sweeps, start=0):
+    """_reference_sweep's checkerboard sweeps start, ..., start + n_sweeps - 1
+    of every replica of pad, in place, with the shared uniforms; a replica's
+    floors or ceilings may be None."""
+    L = pad.shape[1] - 2
+    ring = build_boundary(("all", 0), L)
+    cfgs = [SurfaceConfig(L, g[1:L + 1, 1:L + 1],
+                          {(x, y): int(g[x + 1, y + 1]) for x, y in ring}, f, c)
+            for g, f, c in zip(pad, floors, ceilings)]
     us = UniformStream(seed, L * L)
     for t in range(start, start + n_sweeps):
-        u = us.sweep(t)
-        for g, f, c in zip(pad, floors, ceilings):
-            for y in range(L):
-                for x in range(L):
-                    nb = (int(g[x, y + 1]), int(g[x + 2, y + 1]),
-                          int(g[x + 1, y]), int(g[x + 1, y + 2]))
-                    d = local_conditional(nb, None if f is None else int(f[x, y]),
-                                          None if c is None else int(c[x, y]), params)
-                    g[x + 1, y + 1] = d.quantile(u[y * L + x])
+        for cfg in cfgs:
+            _reference_sweep(cfg, params, us.sweep(t), "checkerboard")
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_coupled_batch_matches_scalar_raster_draws(p):
+def test_coupled_batch_matches_scalar_checkerboard_draws(p):
     rng = np.random.default_rng(41)
     params = ModelParams(p=p, beta=1.5)
     B, L, seed, sweeps = 40, 3, 17, 4
@@ -420,8 +416,8 @@ def test_coupled_batch_matches_scalar_raster_draws(p):
     violations = coupled_batch_run(pad_lo, pad_up, params, seed, sweeps,
                                    floors_lo=f_lo, floors_up=f_up,
                                    ceilings_lo=c_lo, ceilings_up=c_up)
-    _raster_batch_reference(ref_lo, f_lo, c_lo, params, seed, sweeps)
-    _raster_batch_reference(ref_up, f_up, c_up, params, seed, sweeps)
+    _batch_reference(ref_lo, f_lo, c_lo, params, seed, sweeps)
+    _batch_reference(ref_up, f_up, c_up, params, seed, sweeps)
     assert violations == 0
     assert np.array_equal(pad_lo, ref_lo)
     assert np.array_equal(pad_up, ref_up)
@@ -447,7 +443,7 @@ def test_sandwich_and_cftp_match_batch_reference(p):
         pad = pair(floor, high if ceiling is None else min(high, ceiling))
         gaps = []
         for t in range(sweeps):
-            _raster_batch_reference(pad, floors, ceilings, params, seed, 1, start=t)
+            _batch_reference(pad, floors, ceilings, params, seed, 1, start=t)
             gaps.append(float((pad[1][inner] - pad[0][inner]).mean()))
         assert rep["gap_trace"].tolist() == gaps, (floor, ceiling)
         assert rep["coalesced_at"] == next(
@@ -457,8 +453,7 @@ def test_sandwich_and_cftp_match_batch_reference(p):
         T = 1
         while True:
             pad = pair(floor, ceiling)
-            _raster_batch_reference(pad, floors, ceilings, params, seed, T,
-                                    start=(1 << 20) - T)
+            _batch_reference(pad, floors, ceilings, params, seed, T, start=(1 << 20) - T)
             if np.array_equal(pad[0], pad[1]):
                 break
             T *= 2
@@ -496,8 +491,8 @@ def test_kernel_rejects_floor_above_ceiling():
 
 
 def test_checkerboard_centre_marginal_matches_exact_3x3():
-    # the 3x3 centre-marginal oracle on the checkerboard path (the scales
-    # estimator takes the raster path on boxes this small)
+    # the 3x3 centre-marginal oracle on the checkerboard path, the scan of
+    # every chain the package starts
     params = ModelParams(p=2, beta=1.0)
     exact = box_center_marginal_exact(3, 1.0, 2.0, M=2)
     state = ChainState(config=SurfaceConfig.flat(3), seed=4,
@@ -706,7 +701,7 @@ def test_general_key_table_grows_past_half_load_mid_sweep():
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_coupled_batch_replicas_match_single_chains(p):
     # B > 1 replicas with bounds shared by every replica (an (L, L) floor, a
-    # scalar ceiling): each replica's grid is the raster chain run_chain
+    # scalar ceiling): each replica's grid is the chain run_chain
     # draws on it alone with the same seed
     params = ModelParams(p=p, beta=1.2)
     B, L, seed, sweeps = 3, 5, 13, 6
